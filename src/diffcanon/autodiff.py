@@ -231,55 +231,93 @@ def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
     return _node(table.data[idx], (table,), push)
 
 
-class Adam:
-    """Standard bias-corrected Adam over a list of parameter Tensors."""
+def fused(data, params, grads) -> Tensor:
+    """One tape node over `params` whose backward is a closed form.
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+    `grads(g)` maps the output adjoint to one gradient per parameter,
+    in order; a whole subgraph of ops then costs one node on the tape.
+    """
+    params = tuple(params)
+
+    def push(g):
+        for p, gp in zip(params, grads(g)):
+            _accum(p, gp)
+
+    return _node(data, params, push)
+
+
+class _FlatOptimizer:
+    """Parameters, optimizer state and gradients held in flat buffers.
+
+    Every `p.data` is rebound to a view into one flat array, so a step
+    updates all parameters with a few whole-buffer operations; the state
+    buffers share the layout. Parameters whose grad is None are skipped,
+    their state untouched. A `p.data` rebound after construction is no
+    longer updated by the optimizer.
+    """
+
+    def __init__(self, params):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2 = lr, beta1, beta2
-        self.eps, self.weight_decay = eps, weight_decay
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        self.t = 0
+        sizes = [p.data.size for p in self.params]
+        bounds = np.cumsum([0] + sizes)
+        self.slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self.flat = np.concatenate([p.data.ravel() for p in self.params])
+        for p, sl in zip(self.params, self.slices):
+            p.data = self.flat[sl].reshape(p.data.shape)
+        self.grad = np.empty_like(self.flat)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
+    def _gather(self) -> list[slice]:
+        """Copy the grads into the flat gradient buffer; return the spans to update."""
+        spans = []
+        for p, sl in zip(self.params, self.slices):
+            if p.grad is not None:
+                self.grad[sl] = p.grad.ravel()
+                spans.append(sl)
+        return [slice(None)] if len(spans) == len(self.params) else spans
+
+
+class Adam(_FlatOptimizer):
+    """Standard bias-corrected Adam over a list of parameter Tensors."""
+
+    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+        super().__init__(params)
+        self.lr, self.beta1, self.beta2 = lr, beta1, beta2
+        self.eps, self.weight_decay = eps, weight_decay
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.t = 0
+
     def step(self) -> None:
         self.t += 1
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            g = p.grad
+        for sl in self._gather():
+            p, g, m, v = self.flat[sl], self.grad[sl], self.m[sl], self.v[sl]
             if self.weight_decay:
-                g = g + self.weight_decay * p.data
+                g += self.weight_decay * p
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             m_hat = m / (1.0 - self.beta1 ** self.t)
             v_hat = v / (1.0 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-class SgdMomentum:
+class SgdMomentum(_FlatOptimizer):
     """SGD with classical momentum."""
 
     def __init__(self, params, lr: float = 1e-2, momentum: float = 0.9):
-        self.params = list(params)
+        super().__init__(params)
         self.lr, self.momentum = lr, momentum
-        self.buf = [np.zeros_like(p.data) for p in self.params]
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        self.buf = np.zeros_like(self.flat)
 
     def step(self) -> None:
-        for p, b in zip(self.params, self.buf):
-            if p.grad is None:
-                continue
+        for sl in self._gather():
+            b = self.buf[sl]
             b *= self.momentum
-            b += p.grad
-            p.data -= self.lr * b
+            b += self.grad[sl]
+            self.flat[sl] -= self.lr * b

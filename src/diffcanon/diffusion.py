@@ -14,7 +14,8 @@ of [0, T].
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,13 +58,21 @@ def time_embedding(t, dim: int = 16) -> np.ndarray:
     return np.concatenate([np.sin(args), np.cos(args)], axis=1)
 
 
-def _silu(u: np.ndarray) -> np.ndarray:
-    return u / (1.0 + np.exp(-u))
+# Integer timesteps below this read their embedding from a cached table.
+TIME_TABLE_SIZE = 1024
 
 
-def _silu_grad(u: np.ndarray) -> np.ndarray:
-    sig = 1.0 / (1.0 + np.exp(-u))
-    return sig * (1.0 + u * (1.0 - sig))
+@lru_cache(maxsize=4)
+def _time_table(dim: int) -> np.ndarray:
+    """time_embedding of 0..TIME_TABLE_SIZE-1, read-only."""
+    table = time_embedding(np.arange(TIME_TABLE_SIZE), dim)
+    table.setflags(write=False)
+    return table
+
+
+def _silu_deriv(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d/da [a * s] for s = sigmoid(a)."""
+    return s * (1.0 + a * (1.0 - s))
 
 
 class CondDenoiser:
@@ -71,7 +80,8 @@ class CondDenoiser:
 
     Input is the 2D point concatenated with a 16-d sinusoidal time
     embedding and a 16-d learned label embedding; label index
-    `n_classes` is the null condition.
+    `n_classes` is the null condition. Inference, features, their JVP
+    and the training graph all come from the one forward pass `_cache`.
     """
 
     def __init__(self, rng: Rng, n_classes: int = 2, hidden_dim: int = 80, embed_dim: int = 16):
@@ -95,23 +105,48 @@ class CondDenoiser:
     def parameters(self) -> list[Tensor]:
         return [self.W1, self.b1, self.W2, self.b2, self.W3, self.b3, self.label_emb]
 
-    def _inputs_np(self, x: np.ndarray, t, cond) -> np.ndarray:
+    def _inputs_np(self, x: np.ndarray, t, cond) -> tuple[np.ndarray, np.ndarray]:
+        """Network input rows [x, time embedding, label embedding] and the label ids."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        b = x.shape[0]
-        t = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.float64)), (b,))
+        b, e = x.shape[0], self.embed_dim
+        t = np.broadcast_to(np.atleast_1d(np.asarray(t)), (b,))
         cond = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (b,))
-        temb = time_embedding(t, self.embed_dim)
-        lemb = self.label_emb.data[cond]
-        return np.concatenate([x, temb, lemb], axis=1)
+        inp = np.empty((b, 2 + 2 * e))
+        inp[:, :2] = x
+        if t.dtype.kind in "iu" and b and 0 <= t.min() and t.max() < TIME_TABLE_SIZE:
+            inp[:, 2:2 + e] = _time_table(e)[t]
+        else:
+            inp[:, 2:2 + e] = time_embedding(t, e)
+        inp[:, 2 + e:] = self.label_emb.data[cond]
+        return inp, cond
 
-    def _cache(self, x, t, cond) -> dict:
-        inp = self._inputs_np(x, t, cond)
-        a1 = inp @ self.W1.data + self.b1.data
-        h1 = _silu(a1)
-        a2 = h1 @ self.W2.data + self.b2.data
-        h2 = _silu(a2)
-        out = h2 @ self.W3.data + self.b3.data
-        return {"a1": a1, "h1": h1, "a2": a2, "h2": h2, "out": out}
+    def _cache(self, x, t, cond, keep: bool = False) -> dict:
+        """The forward pass: hidden features h1, h2 and the output.
+
+        SiLU is computed as a * sigmoid(a) with sigmoid = 1 / (1 + exp(-a)),
+        in place. With keep=True the input rows, label ids, pre-activations
+        a1, a2 and sigmoids s1, s2 are kept too, for the JVP and the backward.
+        """
+        inp, cond = self._inputs_np(x, t, cond)
+        c = {"inp": inp, "cond": cond} if keep else {}
+        h = inp
+        for i, (w, bias) in enumerate(((self.W1, self.b1), (self.W2, self.b2)), start=1):
+            a = h @ w.data
+            a += bias.data
+            s = np.negative(a)
+            np.exp(s, out=s)
+            s += 1.0
+            np.divide(1.0, s, out=s)
+            if keep:
+                c[f"a{i}"], c[f"s{i}"] = a, s
+                h = a * s
+            else:
+                h = np.multiply(a, s, out=a)
+            c[f"h{i}"] = h
+        out = h @ self.W3.data
+        out += self.b3.data
+        c["out"] = out
+        return c
 
     def eps(self, x, t, cond) -> np.ndarray:
         """Noise prediction, batched, pure numpy (no graph)."""
@@ -121,33 +156,39 @@ class CondDenoiser:
         """Post-activation hidden features of the chosen layer (1 or 2)."""
         if layer not in (1, 2):
             raise InvalidInputError(f"layer must be 1 or 2, got {layer}")
-        c = self._cache(x, t, cond)
-        return c["h1"] if layer == 1 else c["h2"]
+        return self._cache(x, t, cond)[f"h{layer}"]
 
     def feature_jvp(self, x, t, cond, v: np.ndarray, layer: int = 2) -> np.ndarray:
         """Directional derivative of hidden(layer) along v in data space."""
         if layer not in (1, 2):
             raise InvalidInputError(f"layer must be 1 or 2, got {layer}")
-        c = self._cache(x, t, cond)
+        c = self._cache(x, t, cond, keep=True)
         dinp = np.zeros((1, 2 + 2 * self.embed_dim))
         dinp[0, :2] = np.asarray(v, dtype=np.float64)
-        da1 = dinp @ self.W1.data
-        dh1 = _silu_grad(c["a1"]) * da1
-        if layer == 1:
-            return dh1[0]
-        da2 = dh1 @ self.W2.data
-        dh2 = _silu_grad(c["a2"]) * da2
-        return dh2[0]
+        dh = _silu_deriv(c["a1"], c["s1"]) * (dinp @ self.W1.data)
+        if layer == 2:
+            dh = _silu_deriv(c["a2"], c["s2"]) * (dh @ self.W2.data)
+        return dh[0]
 
     def eps_graph(self, x_t: np.ndarray, t: np.ndarray, cond: np.ndarray) -> Tensor:
-        """Autodiff forward pass for training (gradients wrt parameters)."""
-        x_in = Tensor(np.atleast_2d(x_t))
-        temb = Tensor(time_embedding(t, self.embed_dim))
-        lemb = ad.embedding(self.label_emb, cond)
-        inp = ad.concat([x_in, temb, lemb], axis=1)
-        h1 = ad.silu(inp @ self.W1 + self.b1)
-        h2 = ad.silu(h1 @ self.W2 + self.b2)
-        return h2 @ self.W3 + self.b3
+        """Noise prediction as one tape node over the 7 parameters, for training.
+
+        Its backward is the closed form of the MLP's reverse pass, the
+        same arithmetic the per-op graph (concat, embedding, SiLU, affine
+        maps) would replay, so gradients match it bitwise.
+        """
+        c = self._cache(x_t, t, cond, keep=True)
+        e = self.embed_dim
+
+        def grads(g):
+            d2 = (g @ self.W3.data.T) * _silu_deriv(c["a2"], c["s2"])
+            d1 = (d2 @ self.W2.data.T) * _silu_deriv(c["a1"], c["s1"])
+            d_label = np.zeros_like(self.label_emb.data)
+            np.add.at(d_label, c["cond"], (d1 @ self.W1.data.T)[:, 2 + e:])
+            return (c["inp"].T @ d1, d1.sum(axis=0), c["h1"].T @ d2, d2.sum(axis=0),
+                    c["h2"].T @ g, g.sum(axis=0), d_label)
+
+        return ad.fused(c["out"], self.parameters(), grads)
 
 
 @dataclass
@@ -352,11 +393,6 @@ def two_stage_batch(n: int, t_e: int, cond: int, model: CondDenoiser, sched: Noi
     x_T = rng.normal((n, 2))
     return decode_batch(x_T, sched.t_max, cond, model, sched, cfg_scale, rng,
                         te_switch=t_e, null_before_switch=True)
-
-
-def two_stage_sample(t_e: int, cond: int, model: CondDenoiser, sched: NoiseSchedule,
-                     rng: Rng, cfg_scale: float = 1.0) -> np.ndarray:
-    return two_stage_batch(1, t_e, cond, model, sched, rng, cfg_scale)[0]
 
 
 def feature_extract(state: LatentState, model: CondDenoiser, layer: int = 2) -> np.ndarray:

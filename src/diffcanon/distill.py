@@ -194,14 +194,22 @@ def cka_distill_loss(z: Tensor, z_canon: Tensor, teacher_feats: np.ndarray,
 
 
 def sample_bundles(pool: ClaRepPool, labels, rng: Rng) -> list[CanonicalBundle]:
-    """Uniformly pick one same-class pool entry per batch element."""
-    chosen = []
-    for y in np.asarray(labels, dtype=np.int64):
-        entries = pool.by_class.get(int(y))
-        if not entries:
-            raise ConfigError(f"pool has no entries for class {int(y)}")
-        chosen.append(entries[int(rng.integers(0, len(entries)))])
-    return chosen
+    """Uniformly pick one same-class pool entry per batch element.
+
+    All picks come from one bounded-integer draw whose per-element upper
+    bounds are the class sizes, which consumes the stream exactly as one
+    draw per element would.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    classes, which = np.unique(labels, return_inverse=True)
+    entries = []
+    for y in classes.tolist():
+        if not pool.by_class.get(y):
+            raise ConfigError(f"pool has no entries for class {y}")
+        entries.append(pool.by_class[y])
+    counts = np.array([len(e) for e in entries], dtype=np.int64)
+    picks = rng.integers(0, counts[which])
+    return [entries[c][k] for c, k in zip(which.tolist(), picks.tolist())]
 
 
 def total_loss(x: np.ndarray, labels: np.ndarray, bundles: list[CanonicalBundle] | None,

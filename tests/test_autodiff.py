@@ -166,3 +166,65 @@ def test_sum_then_backward_gives_ones(seed):
     x = ad.Tensor(Rng(seed).normal(size=(3, 2)), requires_grad=True)
     x.sum().backward()
     assert np.allclose(x.grad, np.ones((3, 2)))
+
+
+# ---------------------------------------------------------------- flat optimizer state
+
+
+def reference_adam(params, grads, state, t, lr, b1, b2, eps, wd):
+    """Per-parameter Adam step, the loop the flat update replaces."""
+    for p, g, (m, v) in zip(params, grads, state):
+        if g is None:
+            continue
+        if wd:
+            g = g + wd * p
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def reference_sgd(params, grads, bufs, lr, momentum):
+    for p, g, b in zip(params, grads, bufs):
+        if g is None:
+            continue
+        b *= momentum
+        b += g
+        p -= lr * b
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_flat_optimizers_match_per_parameter_reference(kind):
+    rng = Rng(60)
+    shapes = [(3, 4), (4,), (4, 2), (2,)]
+    tensors = [ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    ref = [t.data.copy() for t in tensors]
+    if kind == "adam":
+        opt = ad.Adam(tensors, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6, weight_decay=0.05)
+        state = [(np.zeros(s), np.zeros(s)) for s in shapes]
+    else:
+        opt = ad.SgdMomentum(tensors, lr=0.01, momentum=0.9)
+        bufs = [np.zeros(s) for s in shapes]
+    for step in range(1, 51):
+        # the third parameter gets no gradient on every fourth step
+        grads = [None if (i == 2 and step % 4 == 0) else rng.normal(size=s)
+                 for i, s in enumerate(shapes)]
+        opt.zero_grad()
+        for t, g in zip(tensors, grads):
+            t.grad = None if g is None else g.copy()
+        opt.step()
+        if kind == "adam":
+            reference_adam(ref, grads, state, step, 0.01, 0.8, 0.99, 1e-6, 0.05)
+        else:
+            reference_sgd(ref, grads, bufs, 0.01, 0.9)
+        for t, r in zip(tensors, ref):
+            assert np.array_equal(t.data, r), f"step {step}"
+    if kind == "adam":
+        flat_m = np.concatenate([m.ravel() for m, _ in state])
+        flat_v = np.concatenate([v.ravel() for _, v in state])
+        assert np.array_equal(opt.m, flat_m) and np.array_equal(opt.v, flat_v)
+    else:
+        assert np.array_equal(opt.buf, np.concatenate([b.ravel() for b in bufs]))

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -41,6 +42,28 @@ ARTIFACTS = [
     "vanilla_checkpoint.json", "vanilla_loss.csv",
     "metrics_student.json", "metrics_vanilla.json", "summary.csv",
 ]
+
+# sha256 of every artifact of the REDUCED seed-0 recipe. The digests
+# depend on the floating-point kernels of the numpy/BLAS build as well as
+# on the code; a change that moves bits re-pins them and says why.
+GOLDEN_SHA256 = {
+    "toy_data.csv": "e2cbefba5304cbec56c6447b2040c6b8df07a2b7a0c5fa745fc51e5b144b9cfa",
+    "cdm_checkpoint.json": "9b656a1a437f08c9d880da1740303aa5d63538912c7bd7c40f0630e8e79d2351",
+    "cdm_loss.csv": "02bfdfa30ce8d5b746b332dc947d94ab902e15fab6f5a0f120d76f6fc1159f4a",
+    "te_report.json": "ad805386263a2374aeab617f9c1da5c56a68f14e8b97881a6315b4f588ea6da0",
+    "te_curve.csv": "251a5021033dbd25660f57213368a740ad88e996dabbb6979740b89666e3867b",
+    "bundles.jsonl": "75be83411b0e82aec83fc08997debfe9067a6c704c9407ba6e3bf54dd91b79b2",
+    "before_after.csv": "69519c0ed058314a7464b06a89bcb0e76e3cc46617262d955189fc52142c623f",
+    "features_report.json": "951da62c81135ffb051a3d84a4e7f42e43aa6aebc09e12ed1606da6e6328ab0e",
+    "pool.jsonl": "2d45ee2f3e87bdf51458f651a5f27c370a03cd7128d21880909387fc2e1388ec",
+    "student_checkpoint.json": "8283eaf4a77c46387aaecb04a4d54ae76041c3af435502ff928a1c764652402d",
+    "student_loss.csv": "778ab1fbf66058a62dd9247eab1e273f9d79287dbe1abc829c2937e21e0bd6bb",
+    "vanilla_checkpoint.json": "cc2afe14626231bfe952b214b18c79d9dafda32f4a60af7685dcebe5cd26aeca",
+    "vanilla_loss.csv": "dedd880b24d6c43ea31942439e9b7dbb15bdfd4bcb4542d781b2d66b993efb08",
+    "metrics_student.json": "f8bc00116fca1a3602b73ca54da7ed49bf5143c7425bf855e17063e942c16c98",
+    "metrics_vanilla.json": "81c01ec6ac424d92e1d5baf9ed3263985958485948fb96dc067e7c5cb933c6ee",
+    "summary.csv": "52cbeb3a75cb8696d0ce1084d862e05ead139134126af721bc8c1196f98a684f",
+}
 
 ECHOES = [
     "gen-data", "train-cdm", "find-te", "clarid", "eval-features",
@@ -164,6 +187,16 @@ def test_recipe_produces_all_artifacts(recipe_dir):
 def test_recipe_writes_one_echo_per_stage_variant(recipe_dir):
     for echo in ECHOES:
         assert os.path.exists(os.path.join(recipe_dir, f"resolved_config.{echo}.json"))
+
+
+def test_recipe_artifacts_match_golden_digests(recipe_dir):
+    assert set(GOLDEN_SHA256) == set(ARTIFACTS)
+    moved = []
+    for name in ARTIFACTS:
+        with open(os.path.join(recipe_dir, name), "rb") as f:
+            if hashlib.sha256(f.read()).hexdigest() != GOLDEN_SHA256[name]:
+                moved.append(name)
+    assert moved == [], f"artifacts differ from their pinned digests: {moved}"
 
 
 def test_bundle_file_cardinality(recipe_dir):

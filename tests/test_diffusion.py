@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diffcanon import autodiff as ad
 from diffcanon import diffusion, toydata
 from diffcanon.diffusion import (CondDenoiser, LatentState, NoiseSchedule, TrainConfig,
                                  cfg_combine, ddim_decode, ddim_grid, ddim_invert,
@@ -90,6 +91,55 @@ def test_feature_jvp_matches_finite_difference(trained_model):
               trained_model.hidden(x - h * v, 300, 1, layer)[0]) / (2 * h)
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(jv - fd) / denom <= 1e-6
+
+
+def test_time_table_rows_equal_time_embedding(schedule):
+    table = diffusion._time_table(16)
+    for t in range(schedule.t_max + 1):
+        assert np.array_equal(table[t], time_embedding(t)[0]), t
+    # integer timesteps past the table and non-integer ones fall back to the formula
+    model = CondDenoiser(Rng(0))
+    x = np.array([[0.3, -0.2]])
+    big = diffusion.TIME_TABLE_SIZE + 5
+    assert np.array_equal(model._inputs_np(x, big, 1)[0][0, 2:18], time_embedding(big)[0])
+    assert np.array_equal(model._inputs_np(x, 2.5, 1)[0][0, 2:18], time_embedding(2.5)[0])
+
+
+def reference_eps_graph(model, x_t, t, cond):
+    """The per-op tape graph the fused eps_graph node replaces."""
+    x_in = ad.Tensor(np.atleast_2d(x_t))
+    temb = ad.Tensor(time_embedding(t, model.embed_dim))
+    lemb = ad.embedding(model.label_emb, cond)
+    inp = ad.concat([x_in, temb, lemb], axis=1)
+    h1 = ad.silu(inp @ model.W1 + model.b1)
+    h2 = ad.silu(h1 @ model.W2 + model.b2)
+    return h2 @ model.W3 + model.b3
+
+
+def test_fused_eps_graph_matches_per_op_graph_bitwise():
+    model = CondDenoiser(Rng(21))
+    rng = Rng(22)
+    b = 64
+    x_t = rng.normal(size=(b, 2))
+    t = rng.integers(1, 1001, size=b)
+    eps = rng.normal(size=(b, 2))
+    cond = rng.integers(0, model.n_classes, size=b)
+    cond[::3] = model.null_id  # class and null labels in one batch
+    results = []
+    for graph in (reference_eps_graph, CondDenoiser.eps_graph):
+        pred = graph(model, x_t, t, cond)
+        diff = pred - ad.Tensor(eps)
+        loss = (diff * diff).mean()
+        for p in model.parameters():
+            p.grad = None
+        loss.backward()
+        results.append((pred.data, [p.grad for p in model.parameters()]))
+    (ref_out, ref_grads), (out, grads) = results
+    assert np.array_equal(out, ref_out)
+    assert len(grads) == 7
+    for name, g, r in zip(["W1", "b1", "W2", "b2", "W3", "b3", "label_emb"], grads, ref_grads):
+        assert g.shape == r.shape and np.array_equal(g, r), name
+    assert np.array_equal(model.eps(x_t, t, cond), out)
 
 
 # ---------------------------------------------------------------- training

@@ -314,6 +314,26 @@ def test_pool_sampling_uniform_per_class(tiny_pool):
         assert abs(c / n - p) <= 3 * sigma + 1e-9, f"entry {sid} drawn non-uniformly"
 
 
+def test_sample_bundles_matches_one_draw_per_element():
+    # unequal class sizes, so each element's bound differs from its neighbour's
+    sizes = {0: 3, 1: 7, 2: 1}
+    bundles = [CanonicalBundle(seed_sample_id=10 * c + i, t_e=400, k=1, latent=np.zeros(2),
+                               canonical_sample=np.zeros(2), canonical_feature=np.zeros(80),
+                               cond=c)
+               for c, n in sizes.items() for i in range(n)]
+    pool = distill.ClaRepPool.from_bundles(bundles)
+    labels = Rng(91).integers(0, 3, size=500)
+    fast, slow = Rng(92).split("pool"), Rng(92).split("pool")
+    for _ in range(3):
+        got = distill.sample_bundles(pool, labels, fast)
+        want = [pool.by_class[int(y)][int(slow.integers(0, len(pool.by_class[int(y)])))]
+                for y in labels]
+        assert [b.seed_sample_id for b in got] == [b.seed_sample_id for b in want]
+        assert all(g is w for g, w in zip(got, want))
+    assert repr(fast._gen.bit_generator.state) == repr(slow._gen.bit_generator.state)
+    assert fast.integers(0, 2**40) == slow.integers(0, 2**40)
+
+
 # ---------------------------------------------------------------- training
 
 

@@ -5,13 +5,16 @@ reductions, log-sum-exp) rather than a scalar tape. Each Tensor produced
 by an operation keeps references to its parents together with a closure
 that routes the output adjoint back to them; `backward()` replays the
 closures in reverse topological order. Everything runs in float64.
+`save_params` / `load_params` are the one checkpoint file format.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, InvalidInputError
 
 
 def _as_array(x) -> np.ndarray:
@@ -321,3 +324,45 @@ class SgdMomentum(_FlatOptimizer):
             b *= self.momentum
             b += self.grad[sl]
             self.flat[sl] -= self.lr * b
+
+
+def save_params(path: str, fmt: str, meta: dict[str, int], model) -> None:
+    """Write a checkpoint of `model`'s parameters as one JSON object.
+
+    It holds the format tag `fmt`, the integer metadata `meta` that
+    rebuilds the model, and each parameter of `model.PARAM_NAMES` as a
+    nested list, with sorted keys.
+    """
+    payload = {"format": fmt, **meta,
+               "params": {name: getattr(model, name).data.tolist()
+                          for name in model.PARAM_NAMES}}
+    with open(path, "w") as f:
+        json.dump(payload, f, sort_keys=True)
+
+
+def load_params(path: str, fmt: str, build):
+    """Read a save_params checkpoint into the model `build(**meta)` returns.
+
+    The format tag must be `fmt`, and every parameter the built model
+    names must be stored with the shape the model gives it.
+    """
+    with open(path) as f:
+        payload = json.load(f)
+    if payload.get("format") != fmt:
+        raise InvalidInputError(f"unexpected checkpoint format: {payload.get('format')}")
+    model = build(**{k: v for k, v in payload.items() if k not in ("format", "params")})
+    stored = payload.get("params", {})
+    for name in model.PARAM_NAMES:
+        if name not in stored:
+            raise InvalidInputError(f"checkpoint {path} has no parameter {name}")
+        try:
+            value = np.asarray(stored[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                f"checkpoint parameter {name} is not a numeric array") from exc
+        p = getattr(model, name)
+        if value.shape != p.data.shape:
+            raise InvalidInputError(f"checkpoint parameter {name} has shape {value.shape}, "
+                                    f"the model needs {p.data.shape}")
+        p.data = value
+    return model

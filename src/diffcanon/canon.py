@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diffusion import (CondDenoiser, LatentState, NoiseSchedule, decode_batch,
-                        invert_batch, two_stage_batch)
+from .diffusion import CondDenoiser, NoiseSchedule, decode_batch, invert_batch, two_stage_batch
 from .errors import DegenerateInputError, InvalidInputError, NumericalError
 from .numerics import elbow_index, kmeans, nmi, svd
 from .rng import Rng
@@ -27,7 +26,6 @@ from .rng import Rng
 class ExtraneousBasis:
     v: np.ndarray            # (input_dim, n) orthonormal columns, descending sigma
     sigma: np.ndarray        # (n,)
-    n: int
 
 
 @dataclass
@@ -55,20 +53,15 @@ class FeatureQualityReport:
     within_class_var: dict[int, float]
 
 
-def jacobian(model, state: LatentState, layer: int = 2) -> np.ndarray:
-    """Exact Jacobian of the hidden features wrt the latent coordinates.
+def jacobian(model, x, t: int, cond: int, layer: int = 2) -> np.ndarray:
+    """Exact Jacobian of the hidden features wrt the latent x at (t, cond).
 
     Assembled column by column from directional derivatives along the
     input basis vectors; (feature_dim x input_dim).
     """
-    if state.t < 1:
+    if t < 1:
         raise InvalidInputError("jacobian requires t >= 1")
-    d = len(np.asarray(state.x))
-    cols = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        cols.append(model.feature_jvp(state.x, state.t, state.cond, e, layer))
+    cols = [model.feature_jvp(x, t, cond, e, layer) for e in np.eye(len(np.asarray(x)))]
     j = np.stack(cols, axis=1)
     if not np.all(np.isfinite(j)):
         raise NumericalError("non-finite activations in jacobian")
@@ -81,7 +74,7 @@ def extraneous_directions(j: np.ndarray, n: int) -> ExtraneousBasis:
     if n < 1 or n > min(j.shape):
         raise InvalidInputError(f"n must be in [1, {min(j.shape)}], got {n}")
     res = svd(j)
-    return ExtraneousBasis(v=res.v[:, :n], sigma=res.sigma[:n], n=n)
+    return ExtraneousBasis(v=res.v[:, :n], sigma=res.sigma[:n])
 
 
 def evr_sequence(basis: ExtraneousBasis) -> np.ndarray:
@@ -103,8 +96,8 @@ def select_k(s) -> int:
 
 def project_out(x_te, basis: ExtraneousBasis, k: int) -> np.ndarray:
     """Remove the span of the first k basis columns from x_te."""
-    if k > basis.n:
-        raise InvalidInputError(f"k={k} exceeds basis size n={basis.n}")
+    if k > basis.v.shape[1]:
+        raise InvalidInputError(f"k={k} exceeds basis size n={basis.v.shape[1]}")
     x = np.asarray(x_te, dtype=np.float64)
     if k == 0:
         return x.copy()
@@ -129,8 +122,7 @@ def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
     latents = np.empty_like(x_te)
     ks = []
     for i in range(len(xs)):
-        state = LatentState(x=x_te[i], t=t_e, cond=int(ys[i]))
-        basis = extraneous_directions(jacobian(model, state, layer), n)
+        basis = extraneous_directions(jacobian(model, x_te[i], t_e, int(ys[i]), layer), n)
         k = select_k(evr_sequence(basis)) if n >= 2 else 1
         ks.append(k)
         latents[i] = project_out(x_te[i], basis, k)
@@ -141,13 +133,6 @@ def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
                             canonical_sample=samples[i], canonical_feature=feats[i],
                             cond=int(ys[i]))
             for i in range(len(xs))]
-
-
-def canonicalize(x, y: int, model: CondDenoiser, sched: NoiseSchedule, t_e: int,
-                 n: int = 2, cfg_scale: float = 1.0, t_r: int | None = None,
-                 layer: int = 2) -> CanonicalBundle:
-    return canonicalize_batch(np.atleast_2d(x), [y], model, sched, t_e, n,
-                              cfg_scale, t_r, layer)[0]
 
 
 def plain_roundtrip(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
@@ -230,8 +215,8 @@ def feature_quality(features: np.ndarray, labels, k_clusters: int,
     """Cluster the features and score agreement with the labels.
 
     Reports the normalized mutual information between k-means
-    assignments and labels, plus per-class feature variance (mean
-    squared distance to the class centroid).
+    assignments and labels, plus the per-class feature variance of
+    within_class_var.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -240,10 +225,16 @@ def feature_quality(features: np.ndarray, labels, k_clusters: int,
         raise InvalidInputError(
             f"k_clusters must equal the number of distinct labels ({len(classes)})")
     assignments, _ = kmeans(features, k_clusters, rng)
-    score = nmi(assignments, labels)
+    return FeatureQualityReport(nmi=nmi(assignments, labels),
+                                within_class_var=within_class_var(features, labels))
+
+
+def within_class_var(features: np.ndarray, labels) -> dict[int, float]:
+    """Per class, the mean squared distance of its features to the class centroid."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
     within = {}
-    for c in classes:
+    for c in np.unique(labels):
         rows = features[labels == c]
-        centroid = rows.mean(axis=0)
-        within[int(c)] = float(np.mean(np.sum((rows - centroid) ** 2, axis=1)))
-    return FeatureQualityReport(nmi=score, within_class_var=within)
+        within[int(c)] = float(np.mean(np.sum((rows - rows.mean(axis=0)) ** 2, axis=1)))
+    return within

@@ -64,7 +64,11 @@ def _select_indices(ys: np.ndarray, cfg: dict) -> np.ndarray:
     idx = np.arange(len(ys))
     if cfg["clarid.class_filter"] >= 0:
         idx = idx[ys == cfg["clarid.class_filter"]]
-    return idx[:cfg["clarid.n_samples"]]
+    idx = idx[:max(cfg["clarid.n_samples"], 0)]
+    if len(idx) == 0:
+        raise ConfigError("clarid selects no samples; see clarid.n_samples and "
+                          "clarid.class_filter")
+    return idx
 
 
 def cmd_gen_data(cfg: dict, out: str) -> None:
@@ -78,7 +82,7 @@ def cmd_train_cdm(cfg: dict, out: str) -> None:
     sched = _schedule(cfg)
     tc = diffusion.TrainConfig(epochs=cfg["cdm.epochs"], batch_size=cfg["cdm.batch_size"],
                                lr=cfg["cdm.lr"], label_drop=cfg["cdm.label_drop"],
-                               weight_decay=cfg["cdm.weight_decay"], seed=cfg["seed"])
+                               weight_decay=cfg["cdm.weight_decay"])
     model, losses = diffusion.train_cdm(dataset, sched, tc, Rng(cfg["seed"]).split("cdm"))
     diffusion.save_checkpoint(model, os.path.join(out, CDM_CKPT))
     with open(os.path.join(out, CDM_LOSS), "w", newline="") as f:
@@ -140,6 +144,8 @@ def cmd_eval_features(cfg: dict, out: str) -> None:
     model = diffusion.load_checkpoint(_require(os.path.join(out, CDM_CKPT), "denoiser checkpoint"))
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
     bundles = canon.load_bundles(_require(os.path.join(out, BUNDLES), "bundle file"))
+    if not bundles:
+        raise InvalidInputError(f"{os.path.join(out, BUNDLES)} holds no bundles")
     sched = _schedule(cfg)
     t_r = cfg["clarid.t_r"]
     layer = cfg["clarid.layer"]
@@ -152,22 +158,13 @@ def cmd_eval_features(cfg: dict, out: str) -> None:
     k = len(np.unique(labels))
     rng = Rng(cfg["seed"])
     payload = {}
-    if k >= 2:
-        q_canon = canon.feature_quality(canon_feats, labels, k, rng.split("fq-canon"))
-        q_orig = canon.feature_quality(orig_feats, labels, k, rng.split("fq-orig"))
-        payload.update({
-            "nmi_canonical": q_canon.nmi, "nmi_original": q_orig.nmi,
-            "within_class_var_canonical": {str(c): v for c, v in q_canon.within_class_var.items()},
-            "within_class_var_original": {str(c): v for c, v in q_orig.within_class_var.items()},
-        })
-    else:
-        # single-class bundles: no clustering, variance comparison only
-        payload.update({
-            "within_class_var_canonical": {str(int(labels[0])): float(np.mean(
-                np.sum((canon_feats - canon_feats.mean(axis=0)) ** 2, axis=1)))},
-            "within_class_var_original": {str(int(labels[0])): float(np.mean(
-                np.sum((orig_feats - orig_feats.mean(axis=0)) ** 2, axis=1)))},
-        })
+    for kind, feats, stream in (("canonical", canon_feats, "fq-canon"),
+                                ("original", orig_feats, "fq-orig")):
+        payload[f"within_class_var_{kind}"] = {
+            str(c): v for c, v in canon.within_class_var(feats, labels).items()}
+        if k >= 2:  # single-class bundles have nothing to cluster
+            payload[f"nmi_{kind}"] = canon.feature_quality(feats, labels, k,
+                                                           rng.split(stream)).nmi
     _write_json(payload, os.path.join(out, FEATURES_REPORT))
 
 
@@ -206,8 +203,7 @@ def cmd_train_student(cfg: dict, out: str) -> None:
         lambda_cf=cfg["student.lambda_cf"], lambda_dist=cfg["student.lambda_dist"],
         lambda_cka=cfg["student.lambda_cka"], epochs=cfg["student.epochs"],
         batch_size=cfg["student.batch_size"], lr=cfg["student.lr"],
-        optimizer=cfg["student.optimizer"], momentum=cfg["student.momentum"],
-        seed=cfg["seed"])
+        optimizer=cfg["student.optimizer"], momentum=cfg["student.momentum"])
     student, log = distill.train_student(dataset, pool, dc, Rng(cfg["seed"]).split("student"))
     prefix = "vanilla" if vanilla else "student"
     distill.save_student(student, os.path.join(out, f"{prefix}_checkpoint.json"))
@@ -312,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config file (flat keys)")
         p.add_argument("--seed", type=int, default=None, help="root seed override")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker count (results are bit-identical for any value)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a single config key")
     return parser
@@ -327,8 +321,6 @@ def main(argv: list[str] | None = None) -> int:
             overrides["seed"] = args.seed
         if args.out is not None:
             overrides["out"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         cfg = config.resolve(args.config, overrides)
         out = cfg["out"]
         os.makedirs(out, exist_ok=True)

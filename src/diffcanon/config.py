@@ -17,7 +17,6 @@ from .errors import ConfigError
 DEFAULTS: dict[str, object] = {
     "seed": 0,
     "out": "runs/toy",
-    "threads": 1,
     "data.n": 1000,
     "schedule.t_max": 1000,
     "schedule.beta_start": 1e-4,

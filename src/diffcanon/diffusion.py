@@ -13,7 +13,6 @@ of [0, T].
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +28,8 @@ from .toydata import ToyDataset
 # Epoch k (from 0) decays the average by min(EMA_DECAY, (1 + k) / (10 + k)),
 # so that a short run is not averaged over its first, barely trained epochs.
 EMA_DECAY = 0.99
+
+CHECKPOINT_FORMAT = "cdm-checkpoint-v1"
 
 
 @dataclass
@@ -84,6 +85,8 @@ class CondDenoiser:
     and the training graph all come from the one forward pass `_cache`.
     """
 
+    PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "label_emb")
+
     def __init__(self, rng: Rng, n_classes: int = 2, hidden_dim: int = 80, embed_dim: int = 16):
         self.n_classes = n_classes
         self.hidden_dim = hidden_dim
@@ -103,7 +106,7 @@ class CondDenoiser:
         return self.n_classes
 
     def parameters(self) -> list[Tensor]:
-        return [self.W1, self.b1, self.W2, self.b2, self.W3, self.b3, self.label_emb]
+        return [getattr(self, name) for name in self.PARAM_NAMES]
 
     def _inputs_np(self, x: np.ndarray, t, cond) -> tuple[np.ndarray, np.ndarray]:
         """Network input rows [x, time embedding, label embedding] and the label ids."""
@@ -201,14 +204,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     weight_decay: float = 0.0
-    seed: int = 0
-
-
-@dataclass
-class LatentState:
-    x: np.ndarray
-    t: int
-    cond: int
 
 
 def q_sample(x0, t: int, eps, sched: NoiseSchedule):
@@ -316,7 +311,7 @@ def ddim_grid(sched: NoiseSchedule, top_t: int) -> list[int]:
 
 def decode_batch(x: np.ndarray, t: int, cond, model: CondDenoiser, sched: NoiseSchedule,
                  cfg_scale: float = 1.0, rng: Rng | None = None,
-                 te_switch: int | None = None, null_before_switch: bool = False) -> np.ndarray:
+                 te_switch: int | None = None) -> np.ndarray:
     """DDIM decode of a batch from timestep t down to 0.
 
     With te_switch set, steps whose upper timestep exceeds the switch
@@ -334,7 +329,7 @@ def decode_batch(x: np.ndarray, t: int, cond, model: CondDenoiser, sched: NoiseS
         raise InvalidInputError("eta > 0 requires an rng for the per-step noise")
     for hi, lo in zip(reversed(grid[1:]), reversed(grid[:-1])):
         step_cond = cond_arr
-        if null_before_switch and te_switch is not None and hi > te_switch:
+        if te_switch is not None and hi > te_switch:
             step_cond = null_arr
         eps_hat = guided_eps(model, x, hi, step_cond, cfg_scale)
         a_hi, a_lo = sched.alpha_bar[hi], sched.alpha_bar[lo]
@@ -372,57 +367,20 @@ def invert_batch(x0: np.ndarray, target_t: int, cond, model: CondDenoiser,
     return x
 
 
-def ddim_decode(state: LatentState, model: CondDenoiser, sched: NoiseSchedule,
-                cfg_scale: float = 1.0, rng: Rng | None = None) -> np.ndarray:
-    """Single-sample decode from a latent state back to data space."""
-    return decode_batch(state.x, state.t, state.cond, model, sched, cfg_scale, rng)[0]
-
-
-def ddim_invert(x0, target_t: int, cond: int, model: CondDenoiser,
-                sched: NoiseSchedule) -> LatentState:
-    """Single-sample inversion to target_t; returns the latent state."""
-    x = invert_batch(x0, target_t, cond, model, sched)[0]
-    return LatentState(x=x, t=target_t, cond=cond)
-
-
 def two_stage_batch(n: int, t_e: int, cond: int, model: CondDenoiser, sched: NoiseSchedule,
                     rng: Rng, cfg_scale: float = 1.0) -> np.ndarray:
     """Sample n points: null condition above t_e, the class condition at or below."""
     if t_e < 0 or t_e > sched.t_max:
         raise InvalidInputError(f"t_e out of range [0, {sched.t_max}]")
     x_T = rng.normal((n, 2))
-    return decode_batch(x_T, sched.t_max, cond, model, sched, cfg_scale, rng,
-                        te_switch=t_e, null_before_switch=True)
+    return decode_batch(x_T, sched.t_max, cond, model, sched, cfg_scale, rng, te_switch=t_e)
 
 
-def feature_extract(state: LatentState, model: CondDenoiser, layer: int = 2) -> np.ndarray:
-    """Hidden-layer feature vector of the denoiser at the state's timestep."""
-    return model.hidden(state.x, state.t, state.cond, layer)[0]
-
-
-def save_checkpoint(model: CondDenoiser, path: str, kind: str = "cdm") -> None:
-    payload = {
-        "format": f"{kind}-checkpoint-v1",
-        "n_classes": model.n_classes,
-        "hidden_dim": model.hidden_dim,
-        "embed_dim": model.embed_dim,
-        "params": {
-            name: p.data.tolist()
-            for name, p in zip(["W1", "b1", "W2", "b2", "W3", "b3", "label_emb"],
-                               model.parameters())
-        },
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True)
+def save_checkpoint(model: CondDenoiser, path: str) -> None:
+    ad.save_params(path, CHECKPOINT_FORMAT,
+                   {"n_classes": model.n_classes, "hidden_dim": model.hidden_dim,
+                    "embed_dim": model.embed_dim}, model)
 
 
 def load_checkpoint(path: str) -> CondDenoiser:
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("format") != "cdm-checkpoint-v1":
-        raise InvalidInputError(f"unexpected checkpoint format: {payload.get('format')}")
-    model = CondDenoiser(Rng(0), n_classes=payload["n_classes"],
-                         hidden_dim=payload["hidden_dim"], embed_dim=payload["embed_dim"])
-    for name, p in zip(["W1", "b1", "W2", "b2", "W3", "b3", "label_emb"], model.parameters()):
-        p.data = np.asarray(payload["params"][name], dtype=np.float64)
-    return model
+    return ad.load_params(path, CHECKPOINT_FORMAT, lambda **meta: CondDenoiser(Rng(0), **meta))

@@ -11,7 +11,7 @@ terms and raw for the CKA term (CKA is scale-invariant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +23,13 @@ from .errors import (ConfigError, DegenerateInputError, InvalidInputError,
 from .rng import Rng
 from .toydata import ToyDataset
 
+CHECKPOINT_FORMAT = "student-checkpoint-v1"
+
 
 class StudentClassifier:
     """ReLU MLP 2 -> h -> h -> logits; the penultimate layer is the feature."""
+
+    PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
     def __init__(self, rng: Rng, n_classes: int = 2, hidden_dim: int = 64):
         self.n_classes = n_classes
@@ -39,7 +43,7 @@ class StudentClassifier:
         self.b3 = Tensor(np.zeros(n_classes), requires_grad=True)
 
     def parameters(self) -> list[Tensor]:
-        return [self.W1, self.b1, self.W2, self.b2, self.W3, self.b3]
+        return [getattr(self, name) for name in self.PARAM_NAMES]
 
     def forward_graph(self, x: Tensor) -> tuple[Tensor, Tensor]:
         """Return (features, logits) as graph tensors."""
@@ -86,7 +90,6 @@ class DistillConfig:
     lr: float = 1e-3
     optimizer: str = "adam"
     momentum: float = 0.9
-    seed: int = 0
 
 
 @dataclass
@@ -101,7 +104,6 @@ class AttackConfig:
 class MetricsReport:
     clean_accuracy: float
     robust_accuracy: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def l2_normalize(z: Tensor) -> Tensor:
@@ -327,27 +329,10 @@ def evaluate(student: StudentClassifier, data: ToyDataset,
 
 
 def save_student(student: StudentClassifier, path: str) -> None:
-    import json
-    payload = {
-        "format": "student-checkpoint-v1",
-        "n_classes": student.n_classes,
-        "hidden_dim": student.hidden_dim,
-        "params": {name: p.data.tolist()
-                   for name, p in zip(["W1", "b1", "W2", "b2", "W3", "b3"],
-                                      student.parameters())},
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True)
+    ad.save_params(path, CHECKPOINT_FORMAT,
+                   {"n_classes": student.n_classes, "hidden_dim": student.hidden_dim}, student)
 
 
 def load_student(path: str) -> StudentClassifier:
-    import json
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("format") != "student-checkpoint-v1":
-        raise InvalidInputError(f"unexpected checkpoint format: {payload.get('format')}")
-    student = StudentClassifier(Rng(0), n_classes=payload["n_classes"],
-                                hidden_dim=payload["hidden_dim"])
-    for name, p in zip(["W1", "b1", "W2", "b2", "W3", "b3"], student.parameters()):
-        p.data = np.asarray(payload["params"][name], dtype=np.float64)
-    return student
+    return ad.load_params(path, CHECKPOINT_FORMAT,
+                          lambda **meta: StudentClassifier(Rng(0), **meta))

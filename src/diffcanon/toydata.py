@@ -31,7 +31,6 @@ class LabeledSample:
 @dataclass
 class ToyDataset:
     samples: list[LabeledSample]
-    seed: int
 
     def xs(self) -> np.ndarray:
         return np.stack([s.x for s in self.samples])
@@ -59,7 +58,7 @@ def sample_dataset(n: int, rng: Rng) -> ToyDataset:
     eps = NOISE_STD * rng.normal((n, 2))
     x1 = u + CLASS_SHIFT * y + eps[:, 0] + SKEW_GAIN * np.abs(eps[:, 1])
     samples = [LabeledSample(x=np.array([x1[i], eps[i, 1]]), y=int(y[i])) for i in range(n)]
-    return ToyDataset(samples=samples, seed=rng.seed)
+    return ToyDataset(samples=samples)
 
 
 def distance_to_core_segment(x, y: int) -> float:
@@ -247,4 +246,4 @@ def load_csv(path: str) -> ToyDataset:
         next(r)
         for row in r:
             samples.append(LabeledSample(x=np.array([float(row[0]), float(row[1])]), y=int(row[2])))
-    return ToyDataset(samples=samples, seed=0)
+    return ToyDataset(samples=samples)

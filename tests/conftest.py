@@ -20,7 +20,7 @@ def dataset():
 @pytest.fixture(scope="session")
 def trained(dataset, schedule):
     """Denoiser trained at the full default settings, with its loss log."""
-    model, losses = train_cdm(dataset, schedule, TrainConfig(seed=0), Rng(0).split("cdm"))
+    model, losses = train_cdm(dataset, schedule, TrainConfig(), Rng(0).split("cdm"))
     return model, losses
 
 

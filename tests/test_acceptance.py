@@ -431,7 +431,7 @@ def test_criterion_5_numerical_checks(schedule, capsys):
         d = int(rng.integers(2, 7))
         n = int(rng.integers(1, d + 1))
         q = np.linalg.qr(rng.normal(size=(d, d)))[0][:, :n]
-        basis = canon.ExtraneousBasis(v=q, sigma=np.ones(n), n=n)
+        basis = canon.ExtraneousBasis(v=q, sigma=np.ones(n))
         k = int(rng.integers(0, n + 1))
         x = rng.normal(size=d)
         px = canon.project_out(x, basis, k)
@@ -495,7 +495,7 @@ def test_criterion_7_distilled_robustness(dataset, clarep_pool, capsys):
     atk = distill.AttackConfig()
     rows = []
     for seed in (0, 1, 2):
-        cfg = distill.DistillConfig(seed=seed)
+        cfg = distill.DistillConfig()
         distilled, _ = distill.train_student(dataset, clarep_pool, cfg,
                                              Rng(seed).split("student"))
         vanilla, _ = distill.train_student(dataset, None, cfg,

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffcanon import autodiff as ad
-from diffcanon.errors import ContractError
+from diffcanon import diffusion, distill
+from diffcanon.errors import ContractError, InvalidInputError
 from diffcanon.rng import Rng
 
 
@@ -228,3 +231,41 @@ def test_flat_optimizers_match_per_parameter_reference(kind):
         assert np.array_equal(opt.m, flat_m) and np.array_equal(opt.v, flat_v)
     else:
         assert np.array_equal(opt.buf, np.concatenate([b.ravel() for b in bufs]))
+
+
+# ---------------------------------------------------------------- checkpoint codec
+
+CODECS = {
+    "cdm": (diffusion.CondDenoiser, diffusion.save_checkpoint, diffusion.load_checkpoint),
+    "student": (distill.StudentClassifier, distill.save_student, distill.load_student),
+}
+
+
+# each damage to a saved checkpoint and the message it is refused with
+DAMAGE = {
+    "format": "unexpected checkpoint format",
+    "missing": "no parameter b3",
+    "reshaped": "W1 has shape",
+    "ragged": "W2 is not a numeric array",
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("kind", sorted(CODECS))
+def test_checkpoint_loader_refuses_damaged_file(tmp_path, kind, damage):
+    model_cls, save, load = CODECS[kind]
+    path = tmp_path / "ckpt.json"
+    save(model_cls(Rng(0)), str(path))
+    payload = json.loads(path.read_text())
+    params = payload["params"]
+    if damage == "format":
+        payload["format"] = "student-checkpoint-v1" if kind == "cdm" else "cdm-checkpoint-v1"
+    elif damage == "missing":
+        del params["b3"]
+    elif damage == "reshaped":
+        params["W1"] = params["W1"][:-1]
+    else:
+        params["W2"][0] = params["W2"][0][:-1]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidInputError, match=DAMAGE[damage]):
+        load(str(path))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffcanon import canon, toydata
-from diffcanon.diffusion import LatentState, two_stage_batch
+from diffcanon.diffusion import two_stage_batch
 from diffcanon.errors import DegenerateInputError, InvalidInputError
 from diffcanon.rng import Rng
 
@@ -27,30 +27,29 @@ class LinearFeatureModel:
 
 def test_jacobian_of_linear_model_is_exact():
     a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    j = canon.jacobian(LinearFeatureModel(a), LatentState(np.zeros(2), 100, 1))
+    j = canon.jacobian(LinearFeatureModel(a), np.zeros(2), 100, 1)
     assert np.array_equal(j, a)
 
 
 def test_jacobian_of_constant_model_is_zero():
-    j = canon.jacobian(LinearFeatureModel(np.zeros((4, 2))),
-                       LatentState(np.ones(2), 100, 1))
+    j = canon.jacobian(LinearFeatureModel(np.zeros((4, 2))), np.ones(2), 100, 1)
     assert np.array_equal(j, np.zeros((4, 2)))
 
 
 def test_jacobian_matches_finite_difference(trained_model):
-    state = LatentState(np.array([0.8, -0.4]), 500, 1)
-    j = canon.jacobian(trained_model, state)
+    x = np.array([0.8, -0.4])
+    j = canon.jacobian(trained_model, x, 500, 1)
     h = 1e-5
     for col, e in enumerate(np.eye(2)):
-        fd = (trained_model.hidden(state.x + h * e, 500, 1)[0] -
-              trained_model.hidden(state.x - h * e, 500, 1)[0]) / (2 * h)
+        fd = (trained_model.hidden(x + h * e, 500, 1)[0] -
+              trained_model.hidden(x - h * e, 500, 1)[0]) / (2 * h)
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(j[:, col] - fd) / denom <= 1e-3
 
 
 def test_jacobian_rejects_timestep_zero(trained_model):
     with pytest.raises(InvalidInputError):
-        canon.jacobian(trained_model, LatentState(np.zeros(2), 0, 1))
+        canon.jacobian(trained_model, np.zeros(2), 0, 1)
 
 
 # ---------------------------------------------------------------- directions / k
@@ -81,22 +80,22 @@ def test_top_direction_maximizes_amplification():
 
 
 def test_evr_formula():
-    basis = canon.ExtraneousBasis(v=np.eye(3), sigma=np.array([2.0, 1.0, 1.0]), n=3)
+    basis = canon.ExtraneousBasis(v=np.eye(3), sigma=np.array([2.0, 1.0, 1.0]))
     assert np.allclose(canon.evr_sequence(basis), [4 / 6, 5 / 6, 1.0])
 
 
 def test_evr_rank_one():
-    basis = canon.ExtraneousBasis(v=np.eye(3), sigma=np.array([3.0, 0.0, 0.0]), n=3)
+    basis = canon.ExtraneousBasis(v=np.eye(3), sigma=np.array([3.0, 0.0, 0.0]))
     assert np.allclose(canon.evr_sequence(basis), [1.0, 1.0, 1.0])
 
 
 def test_evr_single():
-    basis = canon.ExtraneousBasis(v=np.eye(1), sigma=np.array([1.0]), n=1)
+    basis = canon.ExtraneousBasis(v=np.eye(1), sigma=np.array([1.0]))
     assert np.allclose(canon.evr_sequence(basis), [1.0])
 
 
 def test_evr_all_zero_raises():
-    basis = canon.ExtraneousBasis(v=np.eye(2), sigma=np.zeros(2), n=2)
+    basis = canon.ExtraneousBasis(v=np.eye(2), sigma=np.zeros(2))
     with pytest.raises(DegenerateInputError):
         canon.evr_sequence(basis)
 
@@ -126,7 +125,7 @@ def test_evr_monotone_ending_at_one(sigmas):
     sig = np.sort(np.asarray(sigmas))[::-1]
     if np.sum(sig ** 2) == 0:
         return
-    basis = canon.ExtraneousBasis(v=np.eye(len(sig)), sigma=sig, n=len(sig))
+    basis = canon.ExtraneousBasis(v=np.eye(len(sig)), sigma=sig)
     s = canon.evr_sequence(basis)
     assert np.all(np.diff(s) >= -1e-12)
     assert s[-1] == pytest.approx(1.0, abs=1e-12)
@@ -139,7 +138,7 @@ def _basis(v):
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 1:
         v = v[:, None]
-    return canon.ExtraneousBasis(v=v, sigma=np.ones(v.shape[1]), n=v.shape[1])
+    return canon.ExtraneousBasis(v=v, sigma=np.ones(v.shape[1]))
 
 
 def test_project_k0_identity():
@@ -165,7 +164,7 @@ def test_project_idempotent_orthogonal_norm():
         m = rng.normal(size=(4, 4))
         q = np.linalg.qr(m)[0]
         k = int(rng.integers(1, 4))
-        basis = canon.ExtraneousBasis(v=q[:, :3], sigma=np.array([3.0, 2.0, 1.0]), n=3)
+        basis = canon.ExtraneousBasis(v=q[:, :3], sigma=np.array([3.0, 2.0, 1.0]))
         x = rng.normal(size=4)
         x1 = canon.project_out(x, basis, k)
         x2 = canon.project_out(x1, basis, k)

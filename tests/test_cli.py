@@ -1,8 +1,10 @@
 import csv
 import filecmp
 import hashlib
+import inspect
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -95,14 +97,6 @@ def test_gen_data_seed_changes_output(tmp_path):
                            os.path.join(b, "toy_data.csv"), shallow=False)
 
 
-def test_threads_flag_does_not_change_artifacts(tmp_path):
-    a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert run("gen-data", a) == 0
-    assert run("gen-data", b, "--threads", "4") == 0
-    assert filecmp.cmp(os.path.join(a, "toy_data.csv"),
-                       os.path.join(b, "toy_data.csv"), shallow=False)
-
-
 def test_unknown_config_key_fails_with_config_error(tmp_path, capsys):
     rc = cli.main(["gen-data", "--out", str(tmp_path), "--set", "data.sigma=2"])
     captured = capsys.readouterr()
@@ -149,6 +143,12 @@ def test_config_precedence_cli_over_file_over_defaults(tmp_path):
     assert echo["cdm.epochs"] == config.DEFAULTS["cdm.epochs"]  # defaults fill the rest
     with open(os.path.join(out, "toy_data.csv")) as f:
         assert sum(1 for _ in f) == 21   # header + 20 rows
+
+
+def test_every_config_key_is_read():
+    # a key that no stage reads is still accepted and echoed, and does nothing
+    source = inspect.getsource(cli) + inspect.getsource(config)
+    assert [key for key in config.DEFAULTS if f'cfg["{key}"]' not in source] == []
 
 
 def test_config_file_with_unknown_key_rejected(tmp_path, capsys):
@@ -275,3 +275,27 @@ def test_recipe_rerun_from_echoes_is_byte_identical(recipe_dir, tmp_path):
             rebuilt = json.load(f)
         original.pop("out"), rebuilt.pop("out")
         assert original == rebuilt
+
+
+# ---------------------------------------------------------------- refused inputs
+
+
+def copy_artifacts(src: str, dst, *names: str) -> None:
+    for name in names:
+        shutil.copy(os.path.join(src, name), dst)
+
+
+@pytest.mark.parametrize("selection", ["clarid.n_samples=0", "clarid.n_samples=-1",
+                                       "clarid.class_filter=5"])
+def test_clarid_refuses_an_empty_selection(recipe_dir, tmp_path, capsys, selection):
+    copy_artifacts(recipe_dir, tmp_path, "toy_data.csv", "cdm_checkpoint.json", "te_report.json")
+    assert run("clarid", str(tmp_path), "--set", selection) == 1
+    assert "code=CONFIG_ERROR" in capsys.readouterr().err
+    assert not (tmp_path / "bundles.jsonl").exists()
+
+
+def test_eval_features_refuses_an_empty_bundle_file(recipe_dir, tmp_path, capsys):
+    copy_artifacts(recipe_dir, tmp_path, "toy_data.csv", "cdm_checkpoint.json")
+    (tmp_path / "bundles.jsonl").write_text("")
+    assert run("eval-features", str(tmp_path)) == 1
+    assert "code=INVALID_INPUT" in capsys.readouterr().err

@@ -3,9 +3,8 @@ import pytest
 
 from diffcanon import autodiff as ad
 from diffcanon import diffusion, toydata
-from diffcanon.diffusion import (CondDenoiser, LatentState, NoiseSchedule, TrainConfig,
-                                 cfg_combine, ddim_decode, ddim_grid, ddim_invert,
-                                 decode_batch, feature_extract, guided_eps, invert_batch,
+from diffcanon.diffusion import (CondDenoiser, NoiseSchedule, TrainConfig, cfg_combine,
+                                 ddim_grid, decode_batch, guided_eps, invert_batch,
                                  linear_schedule, load_checkpoint, q_sample,
                                  save_checkpoint, time_embedding, train_cdm,
                                  two_stage_batch)
@@ -67,12 +66,12 @@ def test_time_embedding_shape_and_uniqueness():
 
 def test_feature_dims_and_determinism():
     model = CondDenoiser(Rng(0))
-    state = LatentState(np.array([0.3, -0.2]), 100, 1)
-    f1 = feature_extract(state, model, layer=2)
-    f2 = feature_extract(state, model, layer=2)
+    x = np.array([0.3, -0.2])
+    f1 = model.hidden(x, 100, 1, layer=2)[0]
+    f2 = model.hidden(x, 100, 1, layer=2)[0]
     assert f1.shape == (80,)
     assert np.array_equal(f1, f2)
-    assert feature_extract(state, model, layer=1).shape == (80,)
+    assert model.hidden(x, 100, 1, layer=1)[0].shape == (80,)
 
 
 def test_features_differ_between_conditions(trained_model):
@@ -149,8 +148,7 @@ def test_train_single_sample_loss_decreases():
     # each epoch is one gradient step here; the raw per-step loss is noisy
     # because t and the target noise are redrawn, so assert the trend of
     # the smoothed trajectory instead of individual steps
-    data = toydata.ToyDataset(samples=[toydata.LabeledSample(np.array([4.0, 0.0]), 1)],
-                              seed=0)
+    data = toydata.ToyDataset(samples=[toydata.LabeledSample(np.array([4.0, 0.0]), 1)])
     sched = linear_schedule()
     _, losses = train_cdm(data, sched, TrainConfig(epochs=100, batch_size=1, lr=1e-3),
                           Rng(0))
@@ -163,7 +161,7 @@ def test_label_drop_one_makes_training_label_blind():
     # data and rerunning with the same rng gives identical parameters
     data = toydata.sample_dataset(64, Rng(2))
     relabeled = toydata.ToyDataset(
-        samples=[toydata.LabeledSample(s.x, 1 - s.y) for s in data.samples], seed=0)
+        samples=[toydata.LabeledSample(s.x, 1 - s.y) for s in data.samples])
     sched = linear_schedule()
     cfg = TrainConfig(epochs=2, label_drop=1.0)
     m1, log1 = train_cdm(data, sched, cfg, Rng(3))
@@ -219,7 +217,7 @@ def test_grid_endpoints(schedule):
 
 def test_decode_at_t0_is_identity(trained_model, schedule):
     x = np.array([3.7, 0.05])
-    out = ddim_decode(LatentState(x.copy(), 0, 1), trained_model, schedule)
+    out = decode_batch(x.copy(), 0, 1, trained_model, schedule)[0]
     assert np.array_equal(out, x)
 
 
@@ -243,9 +241,8 @@ def test_single_step_exact_eps_recovers_x0(schedule):
 
 def test_invert_target_zero_identity(trained_model, schedule):
     x = np.array([4.0, 0.1])
-    out = ddim_invert(x.copy(), 0, 1, trained_model, schedule)
-    assert np.array_equal(out.x, x)
-    assert out.t == 0
+    out = invert_batch(x.copy(), 0, 1, trained_model, schedule)
+    assert np.array_equal(out, x[None, :])
 
 
 def test_invert_zero_model_closed_form(schedule):
@@ -265,7 +262,7 @@ def test_invert_zero_model_closed_form(schedule):
 def test_invert_requires_deterministic_sampler(trained_model):
     noisy = linear_schedule(ddim_eta=0.5)
     with pytest.raises(ContractError):
-        ddim_invert(np.array([4.0, 0.0]), 500, 1, trained_model, noisy)
+        invert_batch(np.array([4.0, 0.0]), 500, 1, trained_model, noisy)
 
 
 def test_decode_deterministic_bitwise(trained_model, schedule):
@@ -332,12 +329,6 @@ def test_two_stage_accuracy_saturates(trained_model, schedule):
 
 
 # ---------------------------------------------------------------- features / checkpoint
-
-
-def test_feature_extract_matches_hidden(trained_model):
-    state = LatentState(np.array([0.2, 0.1]), 100, 1)
-    assert np.array_equal(feature_extract(state, trained_model),
-                          trained_model.hidden(state.x, state.t, state.cond, 2)[0])
 
 
 def test_checkpoint_round_trip_bitwise(trained_model, tmp_path):

@@ -339,7 +339,7 @@ def test_sample_bundles_matches_one_draw_per_element():
 
 def test_vanilla_student_reaches_95_clean():
     data = toydata.sample_dataset(600, Rng(1).split("data"))
-    cfg = distill.DistillConfig(epochs=60, seed=0)
+    cfg = distill.DistillConfig(epochs=60)
     student, _ = distill.train_student(data, None, cfg, Rng(0).split("student"))
     held_out = toydata.sample_dataset(500, Rng(99))
     report = distill.evaluate(student, held_out)
@@ -348,7 +348,7 @@ def test_vanilla_student_reaches_95_clean():
 
 def test_training_deterministic(tiny_pool):
     data = toydata.sample_dataset(200, Rng(2).split("data"))
-    cfg = distill.DistillConfig(epochs=5, seed=0)
+    cfg = distill.DistillConfig(epochs=5)
     s1, log1 = distill.train_student(data, tiny_pool, cfg, Rng(5).split("s"))
     s2, log2 = distill.train_student(data, tiny_pool, cfg, Rng(5).split("s"))
     assert log1 == log2
@@ -468,7 +468,7 @@ class BayesStudent:
 def test_bayes_rule_student_is_perfect_on_cores():
     xs = [toydata.toy_point(y, u, np.zeros(2)) for y in (0, 1) for u in (-0.1, 0.0, 0.1)]
     samples = [toydata.LabeledSample(x, int(i >= 3)) for i, x in enumerate(xs)]
-    data = toydata.ToyDataset(samples=samples, seed=0)
+    data = toydata.ToyDataset(samples=samples)
     report = distill.evaluate(BayesStudent(), data)
     assert report.clean_accuracy == 1.0
 
@@ -483,7 +483,7 @@ def test_random_students_average_half_accuracy():
 @pytest.fixture(scope="module")
 def trained_student():
     data = toydata.sample_dataset(400, Rng(1).split("data"))
-    cfg = distill.DistillConfig(epochs=40, seed=0)
+    cfg = distill.DistillConfig(epochs=40)
     student, _ = distill.train_student(data, None, cfg, Rng(0).split("student"))
     return student
 

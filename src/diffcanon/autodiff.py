@@ -11,6 +11,8 @@ closures in reverse topological order. Everything runs in float64.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -336,8 +338,21 @@ def save_params(path: str, fmt: str, meta: dict[str, int], model) -> None:
     payload = {"format": fmt, **meta,
                "params": {name: getattr(model, name).data.tolist()
                           for name in model.PARAM_NAMES}}
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, sort_keys=True)
+
+
+@contextmanager
+def atomic_write(path: str):
+    """Open a temp file beside `path` that replaces it only if the block completes."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_params(path: str, fmt: str, build):

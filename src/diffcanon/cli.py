@@ -71,6 +71,17 @@ def _select_indices(ys: np.ndarray, cfg: dict) -> np.ndarray:
     return idx
 
 
+def _canonicalize(cfg: dict, model, sched, t_e: int, xs, ys, idx, path: str) -> list:
+    """Canonicalize dataset rows idx, id each bundle by its row and write them to path."""
+    bundles = canon.canonicalize_batch(xs[idx], ys[idx], model, sched, t_e,
+                                       cfg_scale=cfg["clarid.cfg_scale"],
+                                       t_r=cfg["clarid.t_r"], layer=cfg["clarid.layer"])
+    for b, i in zip(bundles, idx):
+        b.seed_sample_id = int(i)
+    canon.save_bundles(bundles, path)
+    return bundles
+
+
 def cmd_gen_data(cfg: dict, out: str) -> None:
     rng = Rng(cfg["seed"]).split("data")
     dataset = toydata.sample_dataset(cfg["data.n"], rng)
@@ -116,13 +127,7 @@ def cmd_clarid(cfg: dict, out: str) -> None:
     xs, ys = dataset.xs(), dataset.ys()
     idx = _select_indices(ys, cfg)
     sel_x, sel_y = xs[idx], ys[idx]
-    bundles = canon.canonicalize_batch(sel_x, sel_y, model, sched, t_e,
-                                       n=cfg["clarid.n_directions"],
-                                       cfg_scale=cfg["clarid.cfg_scale"],
-                                       t_r=cfg["clarid.t_r"], layer=cfg["clarid.layer"])
-    for b, i in zip(bundles, idx):
-        b.seed_sample_id = int(i)
-    canon.save_bundles(bundles, os.path.join(out, BUNDLES))
+    bundles = _canonicalize(cfg, model, sched, t_e, xs, ys, idx, os.path.join(out, BUNDLES))
     baseline = canon.plain_roundtrip(sel_x, sel_y, model, sched, t_e,
                                      cfg_scale=cfg["clarid.cfg_scale"])
     with open(os.path.join(out, BEFORE_AFTER), "w", newline="") as f:
@@ -182,13 +187,7 @@ def cmd_build_pool(cfg: dict, out: str) -> None:
         order = rng.permutation(len(members))
         picked.extend(members[order[:count]].tolist())
     picked = sorted(picked)
-    bundles = canon.canonicalize_batch(xs[picked], ys[picked], model, sched, t_e,
-                                       n=cfg["clarid.n_directions"],
-                                       cfg_scale=cfg["clarid.cfg_scale"],
-                                       t_r=cfg["clarid.t_r"], layer=cfg["clarid.layer"])
-    for b, i in zip(bundles, picked):
-        b.seed_sample_id = int(i)
-    canon.save_bundles(bundles, os.path.join(out, POOL_FILE))
+    _canonicalize(cfg, model, sched, t_e, xs, ys, picked, os.path.join(out, POOL_FILE))
 
 
 def cmd_train_student(cfg: dict, out: str) -> None:

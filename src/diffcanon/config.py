@@ -32,7 +32,6 @@ DEFAULTS: dict[str, object] = {
     "te.tol": 0.02,
     "te.grid_fractions": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
     "clarid.t_e": 0,                  # 0 = read the chosen value from the search report
-    "clarid.n_directions": 2,
     "clarid.cfg_scale": 1.0,          # 1 = no guidance
     "clarid.t_r": 100,
     "clarid.layer": 2,

@@ -162,16 +162,14 @@ class CondDenoiser:
         return self._cache(x, t, cond)[f"h{layer}"]
 
     def feature_jvp(self, x, t, cond, v: np.ndarray, layer: int = 2) -> np.ndarray:
-        """Directional derivative of hidden(layer) along v in data space."""
+        """Directional derivative of hidden(layer) along v in data space, per point of x."""
         if layer not in (1, 2):
             raise InvalidInputError(f"layer must be 1 or 2, got {layer}")
         c = self._cache(x, t, cond, keep=True)
-        dinp = np.zeros((1, 2 + 2 * self.embed_dim))
-        dinp[0, :2] = np.asarray(v, dtype=np.float64)
-        dh = _silu_deriv(c["a1"], c["s1"]) * (dinp @ self.W1.data)
+        dh = _silu_deriv(c["a1"], c["s1"]) * (np.asarray(v, dtype=np.float64) @ self.W1.data[:2])
         if layer == 2:
             dh = _silu_deriv(c["a2"], c["s2"]) * (dh @ self.W2.data)
-        return dh[0]
+        return dh
 
     def eps_graph(self, x_t: np.ndarray, t: np.ndarray, cond: np.ndarray) -> Tensor:
         """Noise prediction as one tape node over the 7 parameters, for training.

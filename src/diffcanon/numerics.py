@@ -16,7 +16,7 @@ from .rng import Rng
 
 @dataclass
 class SvdResult:
-    """Thin SVD: a = u @ diag(sigma) @ v.T with orthonormal columns."""
+    """Thin SVD: a = u @ diag(sigma) @ v.T with orthonormal columns, per matrix."""
 
     u: np.ndarray
     sigma: np.ndarray
@@ -24,21 +24,21 @@ class SvdResult:
 
 
 def svd(a: np.ndarray) -> SvdResult:
-    """Thin SVD with singular values sorted descending.
+    """Thin SVD of a matrix, or of each matrix of a stack.
 
-    Backed by LAPACK via numpy; the wrapper enforces the contract
-    (finite input, descending non-negative sigma, orthonormal v).
+    LAPACK via numpy gives descending non-negative sigma and orthonormal
+    u, v; the wrapper checks only that the input is finite.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or min(a.shape) < 1:
-        raise InvalidInputError("svd expects a 2D matrix with at least one row and column")
+    if a.ndim < 2 or min(a.shape[-2:]) < 1:
+        raise InvalidInputError("svd expects matrices with at least one row and column")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("svd input must be finite")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"svd failed to converge: {exc}") from exc
-    return SvdResult(u=u, sigma=s, v=vt.T)
+    return SvdResult(u=u, sigma=s, v=np.swapaxes(vt, -1, -2))
 
 
 def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100):
@@ -135,22 +135,18 @@ def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(yc.T @ xc) ** 2 / (xn * yn))
 
 
-def elbow_index(s) -> int:
+def elbow_index(s):
     """Index of the point farthest from the chord between the endpoints.
 
-    Works on the sequence (i, s_i), i = 0..n-1; ties break to the
-    smallest index; a degenerate zero-length chord returns 0.
+    Works on (i, s_i), i = 0..n-1, along the last axis; ties break to the
+    smallest index. A 2-point sequence lies on its chord, so it gives 0.
     """
     s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 1 or len(s) < 2:
-        raise InvalidInputError("elbow_index needs a 1D sequence of length >= 2")
-    n = len(s)
-    dx = float(n - 1)
-    dy = float(s[-1] - s[0])
-    norm = np.hypot(dx, dy)
-    if norm == 0.0:
-        return 0
-    i = np.arange(n, dtype=np.float64)
+    if s.ndim < 1 or s.shape[-1] < 2:
+        raise InvalidInputError("elbow_index needs sequences of length >= 2")
+    dx = float(s.shape[-1] - 1)
+    dy = s[..., -1:] - s[..., :1]
+    i = np.arange(s.shape[-1], dtype=np.float64)
     # distance from (i, s_i) to the line through (0, s_0) and (n-1, s_{n-1})
-    dist = np.abs(dy * i - dx * (s - s[0])) / norm
-    return int(np.argmax(dist))
+    dist = np.abs(dy * i - dx * (s - s[..., :1])) / np.hypot(dx, dy)
+    return np.argmax(dist, axis=-1)

@@ -227,8 +227,7 @@ class ExactDenoiser:
         """Exact directional derivative of eps along v; one row per point of x."""
         jac = self._run(x, t, cond, True)[1]
         v = np.broadcast_to(np.asarray(v, dtype=np.float64), (jac.shape[0], 2))
-        out = np.einsum("bij,bj->bi", jac, v)
-        return out[0] if np.ndim(x) == 1 else out
+        return np.einsum("bij,bj->bi", jac, v)
 
 
 def save_csv(dataset: ToyDataset, path: str) -> None:

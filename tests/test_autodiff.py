@@ -269,3 +269,18 @@ def test_checkpoint_loader_refuses_damaged_file(tmp_path, kind, damage):
     path.write_text(json.dumps(payload))
     with pytest.raises(InvalidInputError, match=DAMAGE[damage]):
         load(str(path))
+
+
+@pytest.mark.parametrize("kind", sorted(CODECS))
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, kind):
+    model_cls, save, _ = CODECS[kind]
+    path = tmp_path / "ckpt.json"
+    save(model_cls(Rng(0)), str(path))
+    before = path.read_bytes()
+    broken = model_cls(Rng(1))
+    param = getattr(broken, broken.PARAM_NAMES[-1])
+    param.data = np.full(param.data.shape, object())  # fails inside json.dump
+    with pytest.raises(TypeError):
+        save(broken, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]

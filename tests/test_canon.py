@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,23 +24,23 @@ class LinearFeatureModel:
         return (np.atleast_2d(x) @ self.a.T)
 
     def feature_jvp(self, x, t, cond, v, layer=2):
-        return self.a @ np.asarray(v)
+        return np.tile(self.a @ np.asarray(v), (len(np.atleast_2d(x)), 1))
 
 
 def test_jacobian_of_linear_model_is_exact():
     a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    j = canon.jacobian(LinearFeatureModel(a), np.zeros(2), 100, 1)
-    assert np.array_equal(j, a)
+    j = canon.jacobian(LinearFeatureModel(a), np.zeros((2, 2)), 100, 1)
+    assert np.array_equal(j, np.stack([a, a]))
 
 
 def test_jacobian_of_constant_model_is_zero():
     j = canon.jacobian(LinearFeatureModel(np.zeros((4, 2))), np.ones(2), 100, 1)
-    assert np.array_equal(j, np.zeros((4, 2)))
+    assert np.array_equal(j, np.zeros((1, 4, 2)))
 
 
 def test_jacobian_matches_finite_difference(trained_model):
     x = np.array([0.8, -0.4])
-    j = canon.jacobian(trained_model, x, 500, 1)
+    j = canon.jacobian(trained_model, x, 500, 1)[0]
     h = 1e-5
     for col, e in enumerate(np.eye(2)):
         fd = (trained_model.hidden(x + h * e, 500, 1)[0] -
@@ -117,6 +119,36 @@ def test_select_k_always_in_range(vals):
     s = s / s[-1]
     k = canon.select_k(s)
     assert 1 <= k <= len(s)
+
+
+@given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=100, deadline=None)
+def test_select_k_is_one_on_every_two_point_sequence(a, b):
+    # both points lie on the chord, so the elbow is the first point: with
+    # 2-D latents every sample loses exactly one direction
+    assert canon.select_k([min(a, b), max(a, b)]) == 1
+
+
+def test_stacked_calls_match_per_sample_calls():
+    rng = Rng(29)
+    j = rng.normal(size=(7, 8, 4))
+    j[:, :, 2:] *= 0.01  # a clear elbow for some samples
+    j[3] = 0.0
+    j[3, :, 0] = 1.0     # rank one: EVR sequence [1, 1, 1, 1]
+    x = rng.normal(size=(7, 4))
+    basis = canon.extraneous_directions(j, 4)
+    s = canon.evr_sequence(basis)
+    k = canon.select_k(s)
+    k[0] = 0
+    out = canon.project_out(x, basis, k)
+    for i in range(7):
+        one = canon.extraneous_directions(j[i], 4)
+        assert np.array_equal(basis.sigma[i], one.sigma)
+        assert np.array_equal(basis.v[i], one.v)
+        assert np.array_equal(s[i], canon.evr_sequence(one))
+        assert k[i] == (0 if i == 0 else canon.select_k(s[i]))
+        assert np.allclose(out[i], canon.project_out(x[i], one, k[i]), rtol=0, atol=1e-14)
+    assert sorted(set(k.tolist()) - {0}) == [1, 2]
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=8))
@@ -285,11 +317,36 @@ def test_canonicalize_deterministic(trained_model, schedule, dataset):
         assert a.k == b.k
 
 
-def test_canonicalize_n1_forces_k1(trained_model, schedule, dataset):
-    x = dataset.xs()[dataset.ys() == 1][:2]
-    y = np.ones(2, dtype=np.int64)
-    bundles = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600, n=1)
-    assert all(b.k == 1 for b in bundles)
+def mixed_batch(dataset):
+    xs, ys = dataset.xs(), dataset.ys()
+    rows = np.concatenate([np.flatnonzero(ys == 0)[:5], np.flatnonzero(ys == 1)[:5]])
+    return xs[rows], ys[rows]
+
+
+@pytest.mark.parametrize("denoiser", ["trained", "exact"])
+def test_canonicalize_batch_equals_per_row_calls(denoiser, trained_model, schedule, dataset):
+    model = trained_model if denoiser == "trained" else toydata.ExactDenoiser(schedule.alpha_bar)
+    x, y = mixed_batch(dataset)
+    batch = canon.canonicalize_batch(x, y, model, schedule, t_e=600)
+    for i, b in enumerate(batch):
+        (one,) = canon.canonicalize_batch(x[i], y[i], model, schedule, t_e=600)
+        assert b.k == one.k == 1
+        for field in ("latent", "canonical_sample", "canonical_feature"):
+            assert np.allclose(getattr(b, field), getattr(one, field), rtol=0, atol=1e-12)
+
+
+def test_canonicalize_blocks_do_not_change_the_result(trained_model, schedule, dataset,
+                                                      monkeypatch):
+    # not bitwise: BLAS sums a row of a 1-row block (row 9 here) in another
+    # order than the same row inside a larger matrix product
+    x, y = mixed_batch(dataset)
+    whole = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
+    monkeypatch.setattr(canon, "_BLOCK_ROWS", 3)
+    blocked = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
+    for a, b in zip(whole, blocked):
+        assert a.k == b.k
+        for field in ("latent", "canonical_sample", "canonical_feature"):
+            assert np.allclose(getattr(a, field), getattr(b, field), rtol=0, atol=1e-12)
 
 
 def test_bundles_jsonl_round_trip(class1_bundles, tmp_path):
@@ -304,6 +361,19 @@ def test_bundles_jsonl_round_trip(class1_bundles, tmp_path):
         assert np.array_equal(a.latent, b.latent)
         assert np.array_equal(a.canonical_sample, b.canonical_sample)
         assert np.array_equal(a.canonical_feature, b.canonical_feature)
+
+
+def test_failed_bundle_write_keeps_the_previous_file(class1_bundles, tmp_path):
+    _, _, bundles = class1_bundles
+    path = tmp_path / "bundles.jsonl"
+    canon.save_bundles(bundles, str(path))
+    before = path.read_bytes()
+    # the second record holds what JSON cannot encode, so the write fails on line 2
+    broken = [bundles[0], dataclasses.replace(bundles[1], latent=np.full(2, object()))]
+    with pytest.raises(TypeError):
+        canon.save_bundles(broken, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["bundles.jsonl"]
 
 
 # ---------------------------------------------------------------- feature quality

@@ -54,11 +54,11 @@ GOLDEN_SHA256 = {
     "cdm_loss.csv": "02bfdfa30ce8d5b746b332dc947d94ab902e15fab6f5a0f120d76f6fc1159f4a",
     "te_report.json": "ad805386263a2374aeab617f9c1da5c56a68f14e8b97881a6315b4f588ea6da0",
     "te_curve.csv": "251a5021033dbd25660f57213368a740ad88e996dabbb6979740b89666e3867b",
-    "bundles.jsonl": "75be83411b0e82aec83fc08997debfe9067a6c704c9407ba6e3bf54dd91b79b2",
+    "bundles.jsonl": "d4e431a110d938f74096457471aea235296c609602fd89ffa7e0f8fcdec258aa",
     "before_after.csv": "69519c0ed058314a7464b06a89bcb0e76e3cc46617262d955189fc52142c623f",
-    "features_report.json": "951da62c81135ffb051a3d84a4e7f42e43aa6aebc09e12ed1606da6e6328ab0e",
-    "pool.jsonl": "2d45ee2f3e87bdf51458f651a5f27c370a03cd7128d21880909387fc2e1388ec",
-    "student_checkpoint.json": "8283eaf4a77c46387aaecb04a4d54ae76041c3af435502ff928a1c764652402d",
+    "features_report.json": "9fc3e97bd189c5ea9a7b84501e447ed031a9e2bf8bee6dd0d10614a23865fcd9",
+    "pool.jsonl": "0bee926a94fe48c236b574ff357f0ff658e408981c1905d25015301e6833620f",
+    "student_checkpoint.json": "d38d7a60b750e2f7b06e618072d4c7aaee4c90a5da84fa67afa1c42f5615a7e2",
     "student_loss.csv": "778ab1fbf66058a62dd9247eab1e273f9d79287dbe1abc829c2937e21e0bd6bb",
     "vanilla_checkpoint.json": "cc2afe14626231bfe952b214b18c79d9dafda32f4a60af7685dcebe5cd26aeca",
     "vanilla_loss.csv": "dedd880b24d6c43ea31942439e9b7dbb15bdfd4bcb4542d781b2d66b993efb08",

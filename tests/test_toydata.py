@@ -151,7 +151,7 @@ def test_exact_denoiser_jvp_matches_finite_difference(schedule):
             fd = (model.hidden(xs + h * v, t, cond) - model.hidden(xs - h * v, t, cond)) / (2 * h)
             for row in range(len(xs)):
                 assert np.linalg.norm(jv[row] - fd[row]) <= 1e-6 * max(np.linalg.norm(fd[row]), 1.0)
-            assert np.array_equal(model.feature_jvp(xs[0], t, cond, v), jv[0])
+            assert np.array_equal(model.feature_jvp(xs[0], t, cond, v)[0], jv[0])
 
 
 def test_exact_denoiser_batches_mixed_timesteps_and_conditions(schedule):

@@ -1,7 +1,8 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-Operations are matrix-level (affine maps, elementwise activations,
-reductions, log-sum-exp) rather than a scalar tape. Each Tensor produced
+Operations are matrix-level (affine maps, elementwise maps,
+reductions) rather than a scalar tape; `fused` makes a whole subgraph
+one node with a closed-form backward. Each Tensor produced
 by an operation keeps references to its parents together with a closure
 that routes the output adjoint back to them; `backward()` replays the
 closures in reverse topological order. Everything runs in float64.
@@ -176,64 +177,6 @@ def _node(data, parents, push) -> Tensor:
         out._parents = tuple(parents)
         out._push = push
     return out
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return _node(np.where(mask, x.data, 0.0), (x,), lambda g: _accum(x, g * mask))
-
-
-def silu(x: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    # d/du [u*sigmoid(u)] = sigmoid(u) * (1 + u * (1 - sigmoid(u)))
-    deriv = sig * (1.0 + x.data * (1.0 - sig))
-    return _node(x.data * sig, (x,), lambda g: _accum(x, g * deriv))
-
-
-def clamp_max(x: Tensor, hi: float) -> Tensor:
-    mask = x.data <= hi
-    return _node(np.minimum(x.data, hi), (x,), lambda g: _accum(x, g * mask))
-
-
-def logsumexp(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """Max-shifted log-sum-exp; -inf entries contribute zero weight."""
-    m = np.max(x.data, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(x.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out_data = np.log(s) + m
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
-
-    def push(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        _accum(x, gg * (e / s))
-
-    return _node(out_data, (x,), push)
-
-
-def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
-
-    def push(g):
-        for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
-            _accum(t, np.take(g, range(lo, hi), axis=axis))
-
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), push)
-
-
-def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
-    """Row lookup table[idx]; backward scatter-adds into the table."""
-    idx = np.asarray(idx, dtype=np.int64)
-
-    def push(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        _accum(table, full)
-
-    return _node(table.data[idx], (table,), push)
 
 
 def fused(data, params, grads) -> Tensor:

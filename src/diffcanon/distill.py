@@ -45,16 +45,32 @@ class StudentClassifier:
     def parameters(self) -> list[Tensor]:
         return [getattr(self, name) for name in self.PARAM_NAMES]
 
+    def _hidden(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h1 = np.maximum(x @ self.W1.data + self.b1.data, 0.0)
+        return h1, np.maximum(h1 @ self.W2.data + self.b2.data, 0.0)
+
     def forward_graph(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Return (features, logits) as graph tensors."""
-        h1 = ad.relu(x @ self.W1 + self.b1)
-        h2 = ad.relu(h1 @ self.W2 + self.b2)
-        return h2, h2 @ self.W3 + self.b3
+        """Return (features, logits) as graph tensors.
+
+        The two hidden layers are one tape node whose backward is the
+        closed-form reverse pass through the ReLU masks; it also gives
+        dL/dx when x requires grad (PGD reads it). The head stays two
+        tape ops.
+        """
+        h1, h2 = self._hidden(x.data)
+        w1, w2 = self.W1.data, self.W2.data
+
+        def grads(g):
+            d2 = g * (h2 > 0)
+            d1 = (d2 @ w2.T) * (h1 > 0)
+            dx = d1 @ w1.T if x.requires_grad else None
+            return dx, x.data.T @ d1, d1.sum(axis=0), h1.T @ d2, d2.sum(axis=0)
+
+        feats = ad.fused(h2, (x, self.W1, self.b1, self.W2, self.b2), grads)
+        return feats, feats @ self.W3 + self.b3
 
     def features(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        h1 = np.maximum(x @ self.W1.data + self.b1.data, 0.0)
-        return np.maximum(h1 @ self.W2.data + self.b2.data, 0.0)
+        return self._hidden(np.atleast_2d(np.asarray(x, dtype=np.float64)))[1]
 
     def logits(self, x) -> np.ndarray:
         return self.features(x) @ self.W3.data + self.b3.data
@@ -106,37 +122,72 @@ class MetricsReport:
     robust_accuracy: float | None = None
 
 
+def _softmax_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax of s and its max-shifted log-sum-exp; -inf entries get zero weight."""
+    m = s.max(axis=1, keepdims=True)
+    e = np.exp(s - m)
+    total = e.sum(axis=1, keepdims=True)
+    e /= total
+    return e, (np.log(total) + m)[:, 0]
+
+
 def l2_normalize(z: Tensor) -> Tensor:
-    norm = ((z * z).sum(axis=1, keepdims=True) + 1e-24).sqrt()
-    return z / norm
+    """Unit rows z / |z|, one tape node with backward (G - zhat (G . zhat)) / |z|."""
+    norm = np.sqrt((z.data * z.data).sum(axis=1, keepdims=True) + 1e-24)
+    out = z.data / norm
+
+    def grads(g):
+        return ((g - out * (g * out).sum(axis=1, keepdims=True)) / norm,)
+
+    return ad.fused(out, (z,), grads)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean softmax cross-entropy, one tape node with backward (softmax - onehot) / b."""
     labels = np.asarray(labels, dtype=np.int64)
-    b, c = logits.shape
-    onehot = np.zeros((b, c))
-    onehot[np.arange(b), labels] = 1.0
-    log_denom = ad.logsumexp(logits, axis=1)
-    picked = (logits * onehot).sum(axis=1)
-    return (log_denom - picked).mean()
+    rows = np.arange(len(labels))
+    p, log_denom = _softmax_rows(logits.data)
+
+    def grads(g):
+        d = p.copy()
+        d[rows, labels] -= 1.0
+        return (d * (g / len(labels)),)
+
+    return ad.fused(np.mean(log_denom - logits.data[rows, labels]), (logits,), grads)
+
+
+def _contrastive(sim: np.ndarray, denom: np.ndarray, pos: np.ndarray, tau: float):
+    """Mean over anchors of the log-sum-exp of `denom` minus the mean positive `sim`.
+
+    `denom` is `sim` with -inf where an entry leaves the denominator.
+    Returns the value and the map from the output adjoint g to dL/d(dot
+    products), g (softmax - pos / |pos|) / (b tau): the supervised-contrastive
+    gradient. A row with no positive keeps only its log-sum-exp.
+    """
+    b = len(sim)
+    p, log_denom = _softmax_rows(denom)
+    w = pos * (1.0 / np.maximum(pos.sum(axis=1), 1.0))[:, None]
+    value = (log_denom.sum() - np.vdot(sim, w)) / b
+    return value, lambda g: (p - w) * (g / (b * tau))
 
 
 def align_loss(z: Tensor, z_canon: Tensor, labels, tau: float) -> Tensor:
     """Pull each feature toward every same-class canonical feature.
 
     Softmax over similarities to the whole canonical batch (self
-    included); rows are assumed unit-norm.
+    included); rows are assumed unit-norm. One tape node.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    b = len(labels)
-    if b == 0:
+    if len(labels) == 0:
         raise InvalidInputError("empty batch")
-    sim = (z @ z_canon.T) * (1.0 / tau)
-    log_denom = ad.logsumexp(sim, axis=1, keepdims=True)
-    log_prob = sim - log_denom
-    pos = (labels[:, None] == labels[None, :]).astype(np.float64)
-    per_anchor = (log_prob * pos).sum(axis=1) * Tensor(1.0 / pos.sum(axis=1))
-    return -per_anchor.mean()
+    sim = (z.data @ z_canon.data.T) * (1.0 / tau)
+    value, d_sim = _contrastive(sim, sim, labels[:, None] == labels[None, :], tau)
+
+    def grads(g):
+        d = d_sim(g)
+        return d @ z_canon.data, d.T @ z.data
+
+    return ad.fused(value, (z, z_canon), grads)
 
 
 def cluster_loss(z_canon: Tensor, labels, tau: float) -> Tensor:
@@ -144,40 +195,53 @@ def cluster_loss(z_canon: Tensor, labels, tau: float) -> Tensor:
 
     Anchor i is scored against its same-class peers with a denominator
     over everything except itself; an anchor with no same-class peer
-    falls back to just penalizing its denominator.
+    falls back to just penalizing its denominator. One tape node.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    b = len(labels)
-    if b < 2:
+    if len(labels) < 2:
         raise InvalidInputError("cluster_loss needs a batch of at least 2")
-    sim = (z_canon @ z_canon.T) * (1.0 / tau)
-    off_diag = np.zeros((b, b))
-    np.fill_diagonal(off_diag, -np.inf)
-    masked = sim + Tensor(off_diag)
-    log_denom = ad.logsumexp(masked, axis=1)
-    log_prob = sim - ad.logsumexp(masked, axis=1, keepdims=True)
-    pos = (labels[:, None] == labels[None, :]).astype(np.float64)
-    np.fill_diagonal(pos, 0.0)
-    counts = pos.sum(axis=1)
-    has_pos = counts > 0
-    weights = np.where(has_pos, 1.0 / np.maximum(counts, 1.0), 0.0)
-    pos_part = (log_prob * pos).sum(axis=1) * Tensor(-weights)
-    fallback = log_denom * Tensor((~has_pos).astype(np.float64))
-    return (pos_part + fallback).mean()
+    c = z_canon.data
+    sim = (c @ c.T) * (1.0 / tau)
+    others = sim.copy()
+    np.fill_diagonal(others, -np.inf)
+    pos = labels[:, None] == labels[None, :]
+    np.fill_diagonal(pos, False)
+    value, d_sim = _contrastive(sim, others, pos, tau)
+
+    def grads(g):
+        d = d_sim(g)
+        return ((d + d.T) @ c,)
+
+    return ad.fused(value, (z_canon,), grads)
 
 
-def cka_graph(x: Tensor, y: np.ndarray) -> Tensor:
-    """Linear CKA between a graph tensor and a constant feature matrix."""
+CKA_CEILING = 1.0 - 1e-7
+
+
+def _cka_log_term(x: np.ndarray, yc: np.ndarray, yn: float):
+    """log(1 - CKA(x, y)) with CKA clamped at CKA_CEILING, and its gradient in x.
+
+    With X, Y centred, A = Y'X and K = X'X, linear CKA is |A|^2 / (|K| |Y'Y|)
+    and dCKA/dX = 2 Y A / (|K| |Y'Y|) - 2 CKA X K / |K|^2, which already has
+    zero column means, so centring passes it through. The clamp's
+    gradient is zero. The gradient is returned as a function, which only
+    the backward calls.
+    """
     xc = x - x.mean(axis=0, keepdims=True)
-    yc = np.asarray(y, dtype=np.float64)
-    yc = yc - yc.mean(axis=0, keepdims=True)
-    cross = Tensor(yc.T) @ xc
-    xx = xc.T @ xc
-    xn = ((xx * xx).sum()).sqrt()
-    yn = float(np.linalg.norm(yc.T @ yc))
-    if yn == 0.0 or float(xn.item()) == 0.0:
+    a = yc.T @ xc
+    k = xc.T @ xc
+    xn = float(np.sqrt((k * k).sum()))
+    if yn == 0.0 or xn == 0.0:
         raise DegenerateInputError("constant features have degenerate CKA")
-    return (cross * cross).sum() / (xn * yn)
+    cka = float((a * a).sum()) / (xn * yn)
+    if cka > CKA_CEILING:
+        return np.log(1.0 - CKA_CEILING), lambda: np.zeros_like(x)
+
+    def grad():
+        d_cka = (yc @ a) * (2.0 / (xn * yn)) - (xc @ k) * (2.0 * cka / (xn * xn))
+        return d_cka * (-1.0 / (1.0 - cka))
+
+    return np.log(1.0 - cka), grad
 
 
 def cka_distill_loss(z: Tensor, z_canon: Tensor, teacher_feats: np.ndarray,
@@ -186,13 +250,19 @@ def cka_distill_loss(z: Tensor, z_canon: Tensor, teacher_feats: np.ndarray,
 
     Weighted sum of log(1 - CKA) terms for the raw batch features and
     the raw canonical features; CKA is clamped at 1 - 1e-7 so perfect
-    alignment stays finite.
+    alignment stays finite. One tape node over both feature tensors.
     """
-    cka_z = ad.clamp_max(cka_graph(z, teacher_feats), 1.0 - 1e-7)
-    cka_c = ad.clamp_max(cka_graph(z_canon, teacher_feats), 1.0 - 1e-7)
-    term_z = (1.0 - cka_z).log()
-    term_c = (1.0 - cka_c).log()
-    return lambda_cka * term_z + (1.0 - lambda_cka) * term_c
+    yc = np.asarray(teacher_feats, dtype=np.float64)
+    yc = yc - yc.mean(axis=0, keepdims=True)
+    yn = float(np.linalg.norm(yc.T @ yc))
+    term_z, d_z = _cka_log_term(z.data, yc, yn)
+    term_c, d_c = _cka_log_term(z_canon.data, yc, yn)
+    value = lambda_cka * term_z + (1.0 - lambda_cka) * term_c
+
+    def grads(g):
+        return d_z() * (lambda_cka * g), d_c() * ((1.0 - lambda_cka) * g)
+
+    return ad.fused(value, (z, z_canon), grads)
 
 
 def sample_bundles(pool: ClaRepPool, labels, rng: Rng) -> list[CanonicalBundle]:
@@ -265,13 +335,16 @@ def train_student(data: ToyDataset, pool: ClaRepPool | None, cfg: DistillConfig,
     pool_rng = rng.split("pool")
     xs, ys = data.xs(), data.ys()
     n = len(data)
+    bounds = list(range(0, n, cfg.batch_size)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        # a one-row batch has no cluster peer and no CKA; it joins the batch before
+        del bounds[-2]
     log = []
     for epoch in range(cfg.epochs):
         order = train_rng.permutation(n)
         sums = {"total": 0.0, "cls": 0.0, "align": 0.0, "cluster": 0.0, "cka": 0.0}
-        batches = 0
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            idx = order[lo:hi]
             bundles = sample_bundles(pool, ys[idx], pool_rng) if pool is not None else None
             loss, comps = total_loss(xs[idx], ys[idx], bundles, student, cfg)
             if not np.isfinite(loss.item()):
@@ -282,8 +355,7 @@ def train_student(data: ToyDataset, pool: ClaRepPool | None, cfg: DistillConfig,
             sums["total"] += loss.item()
             for k, v in comps.items():
                 sums[k] += v
-            batches += 1
-        log.append({k: v / batches for k, v in sums.items()})
+        log.append({k: v / (len(bounds) - 1) for k, v in sums.items()})
     return student, log
 
 

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from diffcanon import cli, config
@@ -58,7 +59,7 @@ GOLDEN_SHA256 = {
     "before_after.csv": "69519c0ed058314a7464b06a89bcb0e76e3cc46617262d955189fc52142c623f",
     "features_report.json": "9fc3e97bd189c5ea9a7b84501e447ed031a9e2bf8bee6dd0d10614a23865fcd9",
     "pool.jsonl": "0bee926a94fe48c236b574ff357f0ff658e408981c1905d25015301e6833620f",
-    "student_checkpoint.json": "d38d7a60b750e2f7b06e618072d4c7aaee4c90a5da84fa67afa1c42f5615a7e2",
+    "student_checkpoint.json": "b659982db308a32686c9764648c9fd83a64cdcec31ce8fa2f254acd8bc5a5089",
     "student_loss.csv": "778ab1fbf66058a62dd9247eab1e273f9d79287dbe1abc829c2937e21e0bd6bb",
     "vanilla_checkpoint.json": "cc2afe14626231bfe952b214b18c79d9dafda32f4a60af7685dcebe5cd26aeca",
     "vanilla_loss.csv": "dedd880b24d6c43ea31942439e9b7dbb15bdfd4bcb4542d781b2d66b993efb08",
@@ -299,3 +300,16 @@ def test_eval_features_refuses_an_empty_bundle_file(recipe_dir, tmp_path, capsys
     (tmp_path / "bundles.jsonl").write_text("")
     assert run("eval-features", str(tmp_path)) == 1
     assert "code=INVALID_INPUT" in capsys.readouterr().err
+
+
+def test_train_student_folds_a_trailing_one_row_batch(recipe_dir, tmp_path, capsys):
+    # 129 rows at batch size 128 would leave a last batch of one row, which
+    # has no cluster peer and no CKA; that row joins the batch before it
+    copy_artifacts(recipe_dir, tmp_path, "pool.jsonl")
+    n129 = ("--set", "data.n=129", "--set", "student.epochs=2")
+    assert run("gen-data", str(tmp_path), *n129) == 0
+    assert run("train-student", str(tmp_path), *n129) == 0, capsys.readouterr().err
+    with open(tmp_path / "student_loss.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 2
+    assert all(np.isfinite(float(r[k])) for r in rows for k in ("cluster", "cka"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tape_oracle as oracle
 from diffcanon import autodiff as ad
 from diffcanon import diffusion, toydata
 from diffcanon.diffusion import (CondDenoiser, NoiseSchedule, TrainConfig, cfg_combine,
@@ -108,10 +109,10 @@ def reference_eps_graph(model, x_t, t, cond):
     """The per-op tape graph the fused eps_graph node replaces."""
     x_in = ad.Tensor(np.atleast_2d(x_t))
     temb = ad.Tensor(time_embedding(t, model.embed_dim))
-    lemb = ad.embedding(model.label_emb, cond)
-    inp = ad.concat([x_in, temb, lemb], axis=1)
-    h1 = ad.silu(inp @ model.W1 + model.b1)
-    h2 = ad.silu(h1 @ model.W2 + model.b2)
+    lemb = oracle.embedding(model.label_emb, cond)
+    inp = oracle.concat([x_in, temb, lemb], axis=1)
+    h1 = oracle.silu(inp @ model.W1 + model.b1)
+    h2 = oracle.silu(h1 @ model.W2 + model.b2)
     return h2 @ model.W3 + model.b3
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tape_oracle as oracle
 from diffcanon import distill, numerics, toydata
 from diffcanon.autodiff import Tensor
 from diffcanon.canon import CanonicalBundle
@@ -237,6 +238,120 @@ def test_total_loss_gradient_finite_difference(tiny_pool):
     assert worst <= 1e-4
 
 
+# ---------------------------------------------------------------- fused nodes vs tape oracle
+
+
+def value_and_grads(build, arrays):
+    """Value of build(*tensors) and d(value * R)/d(each input) for a fixed weighting R."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = build(*tensors)
+    weight = Rng(5).normal(size=out.shape) if out.shape else 1.0
+    (out * Tensor(weight)).sum().backward()
+    return out.data, [t.grad for t in tensors]
+
+
+def assert_matches_oracle(name, arrays, *args):
+    got, got_grads = value_and_grads(lambda *t: getattr(distill, name)(*t, *args), arrays)
+    want, want_grads = value_and_grads(lambda *t: getattr(oracle, name)(*t, *args), arrays)
+    assert np.max(np.abs(got - want)) <= 1e-12, name
+    for g, w in zip(got_grads, want_grads):
+        assert g.shape == w.shape and np.max(np.abs(g - w)) <= 1e-12, name
+    return got_grads
+
+
+def test_fused_l2_normalize_and_cross_entropy_match_tape_oracle():
+    rng = Rng(70)
+    assert_matches_oracle("l2_normalize", [rng.normal(size=(9, 5))])
+    for b, c in ((1, 2), (16, 2), (16, 5)):
+        assert_matches_oracle("cross_entropy", [3.0 * rng.normal(size=(b, c))],
+                              rng.integers(0, c, size=b))
+
+
+def test_fused_contrastive_terms_match_tape_oracle():
+    rng = Rng(71)
+    for b in (2, 7, 33, 128):
+        z, zc, labels = rand_batch(rng, b, d=6, classes=3)
+        assert_matches_oracle("align_loss", [z, zc], labels, 0.1)
+        assert_matches_oracle("cluster_loss", [zc], labels, 0.1)
+    # anchors 4 and 6 have no same-class peer: only their log-sum-exp remains
+    labels = np.array([0, 0, 1, 1, 2, 0, 3])
+    _, zc, _ = rand_batch(rng, len(labels), d=6)
+    assert_matches_oracle("cluster_loss", [zc], labels, 0.1)
+    assert_matches_oracle("align_loss", [zc, zc[::-1].copy()], labels, 0.1)
+
+
+def test_fused_cka_matches_tape_oracle_and_clamps_to_zero_gradient():
+    rng = Rng(72)
+    for lam in (0.0, 0.3, 1.0):
+        z, zc, teacher = (rng.normal(size=(12, 4)), rng.normal(size=(12, 4)),
+                          rng.normal(size=(12, 7)))
+        assert_matches_oracle("cka_distill_loss", [z, zc], teacher, lam)
+    # z is the teacher rotated and slightly perturbed: its CKA is within
+    # 1e-7 of 1 but below it, so only the clamp keeps the term at log(1e-7)
+    teacher = rng.normal(size=(12, 4))
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    z = teacher @ q + 1e-4 * rng.normal(size=(12, 4))
+    assert 1.0 - 1e-7 < numerics.linear_cka(z, teacher) < 1.0
+    dz, dzc = assert_matches_oracle("cka_distill_loss",
+                                    [z, rng.normal(size=(12, 4))], teacher, 0.5)
+    assert np.all(dz == 0.0) and np.max(np.abs(dzc)) > 0.0
+
+
+def test_fused_forward_matches_tape_oracle_with_input_gradient():
+    rng = Rng(73)
+    student = distill.StudentClassifier(Rng(74))
+    for p in student.parameters():
+        p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+    x = 2.0 * rng.normal(size=(40, 2))
+    labels = rng.integers(0, 2, size=40)
+    weight = rng.normal(size=(40, student.hidden_dim))
+    results = []
+    for forward in (lambda t: student.forward_graph(t), lambda t: oracle.forward_graph(student, t)):
+        for p in student.parameters():
+            p.grad = None
+        x_t = Tensor(x.copy(), requires_grad=True)
+        feats, logits = forward(x_t)
+        loss = oracle.cross_entropy(logits, labels) + (feats * Tensor(weight)).sum()
+        loss.backward()
+        results.append([feats.data, logits.data, x_t.grad]
+                       + [p.grad for p in student.parameters()])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_fused_total_loss_matches_tape_oracle(tiny_pool):
+    rng = Rng(75)
+    xs = rng.normal(size=(10, 2)) + np.array([2.0, 0.0])
+    labels = rng.integers(0, 2, size=10)
+    cfg = distill.DistillConfig(lambda_cs=0.7, lambda_cf=0.3, lambda_dist=2.0, lambda_cka=0.6)
+    student = distill.StudentClassifier(Rng(76))
+    bundles = distill.sample_bundles(tiny_pool, labels, rng)
+    results = []
+    for build in (lambda: distill.total_loss(xs, labels, bundles, student, cfg)[0],
+                  lambda: oracle.total_loss(xs, labels, bundles, student, cfg)):
+        for p in student.parameters():
+            p.grad = None
+        loss = build()
+        loss.backward()
+        results.append([loss.data] + [p.grad for p in student.parameters()])
+    for got, want in zip(*results):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_distill_step_loss_reaches_at_most_32_tape_nodes(tiny_pool):
+    # fused: 6 parameters, 2 inputs, 2 student forwards, the 2-op head,
+    # 2 normalizations, 4 loss terms and their weighted sum; the per-op graph reaches 133
+    rng = Rng(77)
+    xs = rng.normal(size=(128, 2))
+    labels = rng.integers(0, 2, size=128)
+    student = distill.StudentClassifier(Rng(78))
+    bundles = distill.sample_bundles(tiny_pool, labels, rng)
+    loss, _ = distill.total_loss(xs, labels, bundles, student, distill.DistillConfig())
+    assert oracle.reachable_nodes(loss) <= 32
+    plain, _ = distill.total_loss(xs, labels, None, student, distill.DistillConfig())
+    assert oracle.reachable_nodes(plain) <= 11
+
+
 # ---------------------------------------------------------------- total loss / pool
 
 
@@ -442,6 +557,16 @@ def test_pgd_input_gradient_matches_finite_difference(trained_student):
         fd = (f(xp) - f(xm)) / (2 * h)
         got = x_t.grad[0, ci]
         assert abs(fd - got) / max(abs(fd), abs(got), 1e-8) <= 1e-4
+
+
+def test_pgd_matches_tape_oracle_on_trained_student(trained_student):
+    rng = Rng(61)
+    atk = distill.AttackConfig(epsilon=0.1, steps=5, step_size=0.05)
+    x = rng.normal(size=(300, 2)) * 2.0 + np.array([2.0, 0.0])
+    y = rng.integers(0, 2, size=300)
+    got = distill.pgd_attack(trained_student, x, y, atk, Rng(62))
+    want = oracle.pgd_attack(trained_student, x, y, atk, Rng(62))
+    assert np.array_equal(got, want)
 
 
 def test_attack_config_validation(trained_student):

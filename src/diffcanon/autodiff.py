@@ -52,10 +52,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def T(self) -> "Tensor":
-        return _node(self.data.T, (self,), lambda g: _accum(self, g.T))
-
     def item(self) -> float:
         return float(self.data)
 
@@ -97,9 +93,6 @@ class Tensor:
         return _node(self.data - o.data, (self, o),
                      lambda g: (_accum(self, g), _accum(o, -g)))
 
-    def __rsub__(self, other):
-        return _wrap(other) - self
-
     def __mul__(self, other):
         o = _wrap(other)
         return _node(self.data * o.data, (self, o),
@@ -107,30 +100,12 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = _wrap(other)
-        return _node(self.data / o.data, (self, o),
-                     lambda g: (_accum(self, g / o.data),
-                                _accum(o, -g * self.data / (o.data * o.data))))
-
-    def __rtruediv__(self, other):
-        return _wrap(other) / self
-
-    def __neg__(self):
-        return _node(-self.data, (self,), lambda g: _accum(self, -g))
-
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise ContractError("only constant exponents are differentiable here")
-        return _node(self.data ** p, (self,),
-                     lambda g: _accum(self, g * p * self.data ** (p - 1)))
-
     def __matmul__(self, other):
         o = _wrap(other)
         return _node(self.data @ o.data, (self, o),
                      lambda g: (_accum(self, g @ o.data.T), _accum(o, self.data.T @ g)))
 
-    # reductions and elementwise maps
+    # reductions
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out = self.data.sum(axis=axis, keepdims=keepdims)
@@ -146,17 +121,6 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-        return _node(out_data, (self,), lambda g: _accum(self, g * out_data))
-
-    def log(self) -> "Tensor":
-        return _node(np.log(self.data), (self,), lambda g: _accum(self, g / self.data))
-
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-        return _node(out_data, (self,), lambda g: _accum(self, g * 0.5 / out_data))
 
 
 def _wrap(x) -> Tensor:
@@ -287,10 +251,14 @@ def save_params(path: str, fmt: str, meta: dict[str, int], model) -> None:
 
 @contextmanager
 def atomic_write(path: str):
-    """Open a temp file beside `path` that replaces it only if the block completes."""
+    """Open a temp file beside `path` that replaces it only if the block completes.
+
+    Text is written untranslated (newline=""), so the csv module's line
+    ends reach the file as they are.
+    """
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "w", newline="") as f:
             yield f
         os.replace(tmp, path)
     finally:

@@ -108,9 +108,12 @@ _BLOCK_ROWS = 256
 
 def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
                        sched: NoiseSchedule, t_e: int, cfg_scale: float = 1.0,
-                       t_r: int | None = None, layer: int = 2) -> list[CanonicalBundle]:
+                       t_r: int | None = None,
+                       layer: int = 2) -> tuple[list[CanonicalBundle], np.ndarray]:
     """Run the full extraction pipeline over a batch of labeled samples.
 
+    Returns the bundles and the (N, d) latents x_te the samples invert to,
+    before projection; decoding x_te gives the unprojected round trip.
     Every step is batched; Jacobian, SVD, k and projection run in blocks of
     _BLOCK_ROWS rows. cfg_scale = 1 decodes without guidance.
     """
@@ -130,16 +133,11 @@ def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
     samples = decode_batch(latents, t_e, ys, model, sched, cfg_scale)
     feat_latents = invert_batch(samples, t_r, ys, model, sched)
     feats = model.hidden(feat_latents, t_r, ys, layer)
-    return [CanonicalBundle(seed_sample_id=i, t_e=t_e, k=int(ks[i]), latent=latents[i],
-                            canonical_sample=samples[i], canonical_feature=feats[i],
-                            cond=int(ys[i]))
-            for i in range(len(xs))]
-
-
-def plain_roundtrip(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
-                    sched: NoiseSchedule, t_e: int, cfg_scale: float = 1.0) -> np.ndarray:
-    """Invert to t_e and decode back with no projection (baseline)."""
-    return decode_batch(invert_batch(xs, t_e, ys, model, sched), t_e, ys, model, sched, cfg_scale)
+    bundles = [CanonicalBundle(seed_sample_id=i, t_e=t_e, k=int(ks[i]), latent=latents[i],
+                               canonical_sample=samples[i], canonical_feature=feats[i],
+                               cond=int(ys[i]))
+               for i in range(len(xs))]
+    return bundles, x_te
 
 
 def saturation_choice(grid: list[int], accuracies: list[float], tol: float) -> int:

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import canon, config, diffusion, distill, toydata
+from .autodiff import atomic_write
 from .errors import (ConfigError, ContractError, DegenerateInputError,
                      InvalidInputError, NumericalError, TrainingDivergedError)
 from .rng import Rng
@@ -55,9 +56,16 @@ def _chosen_te(cfg: dict, out: str) -> int:
 
 
 def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, sort_keys=True, indent=2)
         f.write("\n")
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with atomic_write(path) as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _select_indices(ys: np.ndarray, cfg: dict) -> np.ndarray:
@@ -71,15 +79,19 @@ def _select_indices(ys: np.ndarray, cfg: dict) -> np.ndarray:
     return idx
 
 
-def _canonicalize(cfg: dict, model, sched, t_e: int, xs, ys, idx, path: str) -> list:
-    """Canonicalize dataset rows idx, id each bundle by its row and write them to path."""
-    bundles = canon.canonicalize_batch(xs[idx], ys[idx], model, sched, t_e,
-                                       cfg_scale=cfg["clarid.cfg_scale"],
-                                       t_r=cfg["clarid.t_r"], layer=cfg["clarid.layer"])
+def _canonicalize(cfg: dict, model, sched, t_e: int, xs, ys, idx,
+                  path: str) -> tuple[list, np.ndarray]:
+    """Canonicalize dataset rows idx, id each bundle by its row and write them to path.
+
+    Returns the bundles and the rows' inverted latents x_te.
+    """
+    bundles, x_te = canon.canonicalize_batch(xs[idx], ys[idx], model, sched, t_e,
+                                             cfg_scale=cfg["clarid.cfg_scale"],
+                                             t_r=cfg["clarid.t_r"], layer=cfg["clarid.layer"])
     for b, i in zip(bundles, idx):
         b.seed_sample_id = int(i)
     canon.save_bundles(bundles, path)
-    return bundles
+    return bundles, x_te
 
 
 def cmd_gen_data(cfg: dict, out: str) -> None:
@@ -96,11 +108,8 @@ def cmd_train_cdm(cfg: dict, out: str) -> None:
                                weight_decay=cfg["cdm.weight_decay"])
     model, losses = diffusion.train_cdm(dataset, sched, tc, Rng(cfg["seed"]).split("cdm"))
     diffusion.save_checkpoint(model, os.path.join(out, CDM_CKPT))
-    with open(os.path.join(out, CDM_LOSS), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "loss"])
-        for i, loss in enumerate(losses):
-            w.writerow([i, f"{loss:.6f}"])
+    _write_csv(os.path.join(out, CDM_LOSS), ["epoch", "loss"],
+               ([i, f"{loss:.6f}"] for i, loss in enumerate(losses)))
 
 
 def cmd_find_te(cfg: dict, out: str) -> None:
@@ -112,11 +121,8 @@ def cmd_find_te(cfg: dict, out: str) -> None:
     _write_json({"grid": report.grid, "accuracies": report.accuracies,
                  "chosen": report.chosen, "tol": report.tol},
                 os.path.join(out, TE_REPORT))
-    with open(os.path.join(out, TE_CURVE), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t_e", "accuracy"])
-        for t, a in zip(report.grid, report.accuracies):
-            w.writerow([t, f"{a:.6f}"])
+    _write_csv(os.path.join(out, TE_CURVE), ["t_e", "accuracy"],
+               ([t, f"{a:.6f}"] for t, a in zip(report.grid, report.accuracies)))
 
 
 def cmd_clarid(cfg: dict, out: str) -> None:
@@ -127,22 +133,19 @@ def cmd_clarid(cfg: dict, out: str) -> None:
     xs, ys = dataset.xs(), dataset.ys()
     idx = _select_indices(ys, cfg)
     sel_x, sel_y = xs[idx], ys[idx]
-    bundles = _canonicalize(cfg, model, sched, t_e, xs, ys, idx, os.path.join(out, BUNDLES))
-    baseline = canon.plain_roundtrip(sel_x, sel_y, model, sched, t_e,
-                                     cfg_scale=cfg["clarid.cfg_scale"])
-    with open(os.path.join(out, BEFORE_AFTER), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["sample_id", "label", "orig_x1", "orig_x2", "base_x1", "base_x2",
-                    "canon_x1", "canon_x2", "k", "dist_orig", "dist_base", "dist_canon"])
-        for j, b in enumerate(bundles):
-            o, bl, cn = sel_x[j], baseline[j], b.canonical_sample
-            y = int(sel_y[j])
-            w.writerow([b.seed_sample_id, y,
-                        f"{o[0]:.6f}", f"{o[1]:.6f}", f"{bl[0]:.6f}", f"{bl[1]:.6f}",
-                        f"{cn[0]:.6f}", f"{cn[1]:.6f}", b.k,
-                        f"{toydata.distance_to_core_segment(o, y):.6f}",
-                        f"{toydata.distance_to_core_segment(bl, y):.6f}",
-                        f"{toydata.distance_to_core_segment(cn, y):.6f}"])
+    bundles, x_te = _canonicalize(cfg, model, sched, t_e, xs, ys, idx,
+                                  os.path.join(out, BUNDLES))
+    baseline = diffusion.decode_batch(x_te, t_e, sel_y, model, sched, cfg["clarid.cfg_scale"])
+    points = (sel_x, baseline, np.stack([b.canonical_sample for b in bundles]))
+    coords = np.concatenate(points, axis=1).tolist()
+    dists = np.stack([toydata.distance_to_core_segment(p, sel_y) for p in points],
+                     axis=1).tolist()
+    _write_csv(os.path.join(out, BEFORE_AFTER),
+               ["sample_id", "label", "orig_x1", "orig_x2", "base_x1", "base_x2",
+                "canon_x1", "canon_x2", "k", "dist_orig", "dist_base", "dist_canon"],
+               ([b.seed_sample_id, int(y), *(f"{v:.6f}" for v in c), b.k,
+                 *(f"{v:.6f}" for v in d)]
+                for b, y, c, d in zip(bundles, sel_y, coords, dists)))
 
 
 def cmd_eval_features(cfg: dict, out: str) -> None:
@@ -206,11 +209,9 @@ def cmd_train_student(cfg: dict, out: str) -> None:
     student, log = distill.train_student(dataset, pool, dc, Rng(cfg["seed"]).split("student"))
     prefix = "vanilla" if vanilla else "student"
     distill.save_student(student, os.path.join(out, f"{prefix}_checkpoint.json"))
-    with open(os.path.join(out, f"{prefix}_loss.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "total", "cls", "align", "cluster", "cka"])
-        for i, row in enumerate(log):
-            w.writerow([i] + [f"{row[k]:.6f}" for k in ("total", "cls", "align", "cluster", "cka")])
+    terms = ("total", "cls", "align", "cluster", "cka")
+    _write_csv(os.path.join(out, f"{prefix}_loss.csv"), ["epoch", *terms],
+               ([i] + [f"{row[k]:.6f}" for k in terms] for i, row in enumerate(log)))
 
 
 def cmd_attack(cfg: dict, out: str) -> None:
@@ -269,10 +270,7 @@ def cmd_report(cfg: dict, out: str) -> None:
             add("median_dist_baseline", float(np.median([float(x["dist_base"]) for x in r])))
     if not rows:
         raise FileNotFoundError("no stage artifacts found to summarize; run earlier stages first")
-    with open(os.path.join(out, SUMMARY), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["metric", "value"])
-        w.writerows(rows)
+    _write_csv(os.path.join(out, SUMMARY), ["metric", "value"], rows)
 
 
 COMMANDS = {

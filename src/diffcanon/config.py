@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 
+from .autodiff import atomic_write
 from .errors import ConfigError
 
 DEFAULTS: dict[str, object] = {
@@ -113,7 +114,7 @@ def parse_set_args(pairs: list[str]) -> dict[str, object]:
 
 def write_resolved(cfg: dict, out_dir: str, name: str = "resolved_config.json") -> str:
     path = os.path.join(out_dir, name)
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(cfg, f, sort_keys=True, indent=2)
         f.write("\n")
     return path

@@ -109,14 +109,18 @@ class CondDenoiser:
         return [getattr(self, name) for name in self.PARAM_NAMES]
 
     def _inputs_np(self, x: np.ndarray, t, cond) -> tuple[np.ndarray, np.ndarray]:
-        """Network input rows [x, time embedding, label embedding] and the label ids."""
+        """Network input rows [x, time embedding, label embedding] and the label ids.
+
+        A scalar t is embedded once and broadcast into every row; t of shape
+        (b,) embeds one timestep per row.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         b, e = x.shape[0], self.embed_dim
-        t = np.broadcast_to(np.atleast_1d(np.asarray(t)), (b,))
+        t = np.asarray(t)
         cond = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (b,))
         inp = np.empty((b, 2 + 2 * e))
         inp[:, :2] = x
-        if t.dtype.kind in "iu" and b and 0 <= t.min() and t.max() < TIME_TABLE_SIZE:
+        if t.dtype.kind in "iu" and t.size and 0 <= t.min() and t.max() < TIME_TABLE_SIZE:
             inp[:, 2:2 + e] = _time_table(e)[t]
         else:
             inp[:, 2:2 + e] = time_embedding(t, e)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import atomic_write
 from .errors import InvalidInputError
 from .rng import Rng
 
@@ -61,14 +62,20 @@ def sample_dataset(n: int, rng: Rng) -> ToyDataset:
     return ToyDataset(samples=samples)
 
 
-def distance_to_core_segment(x, y: int) -> float:
-    """Euclidean distance from x to the class-y core segment on the x1 axis."""
-    if y not in (0, 1):
-        raise InvalidInputError(f"class id must be 0 or 1, got {y}")
+def distance_to_core_segment(x, y):
+    """Euclidean distance from x to the class-y core segment on the x1 axis.
+
+    x is one point (2,) with one label, giving a float, or (N, 2) points
+    with N labels, giving an (N,) array.
+    """
+    y = np.asarray(y)
+    if not np.all((y == 0) | (y == 1)):
+        raise InvalidInputError(f"class id must be 0 or 1, got {y[(y != 0) & (y != 1)]}")
     x = np.asarray(x, dtype=np.float64)
     center = CLASS_SHIFT * y
-    x1 = float(np.clip(x[0], center - CORE_HALF_WIDTH, center + CORE_HALF_WIDTH))
-    return float(np.hypot(x[0] - x1, x[1]))
+    x1 = np.clip(x[..., 0], center - CORE_HALF_WIDTH, center + CORE_HALF_WIDTH)
+    d = np.hypot(x[..., 0] - x1, x[..., 1])
+    return float(d) if d.ndim == 0 else d
 
 
 def bayes_rule(xs) -> np.ndarray:
@@ -231,7 +238,7 @@ class ExactDenoiser:
 
 
 def save_csv(dataset: ToyDataset, path: str) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path) as f:
         w = csv.writer(f)
         w.writerow(["x1", "x2", "label"])
         for s in dataset.samples:

@@ -5,8 +5,9 @@ one `autodiff.fused` node with a closed-form backward. The functions
 here build the same values from elementwise tape ops, so `backward()`
 differentiates them op by op; the tests check the fused nodes against
 them. The tape ops (relu, silu, clamp_max, logsumexp, concat,
-embedding) have no caller in the program; the per-op denoiser graph in
-`test_diffusion.py` uses them too.
+embedding, and exp, log, sqrt, power, div, neg, transpose) have no
+caller in the program; the per-op denoiser graph in `test_diffusion.py`
+uses them too.
 """
 
 import numpy as np
@@ -15,6 +16,39 @@ from diffcanon.autodiff import Tensor, _accum, _node, _wrap
 from diffcanon.errors import DegenerateInputError, InvalidInputError
 
 # ---------------------------------------------------------------- tape ops
+
+
+def exp(x: Tensor) -> Tensor:
+    out = np.exp(x.data)
+    return _node(out, (x,), lambda g: _accum(x, g * out))
+
+
+def log(x: Tensor) -> Tensor:
+    return _node(np.log(x.data), (x,), lambda g: _accum(x, g / x.data))
+
+
+def sqrt(x: Tensor) -> Tensor:
+    out = np.sqrt(x.data)
+    return _node(out, (x,), lambda g: _accum(x, g * 0.5 / out))
+
+
+def power(x: Tensor, p: float) -> Tensor:
+    """x ** p for a constant exponent p."""
+    return _node(x.data ** p, (x,), lambda g: _accum(x, g * p * x.data ** (p - 1)))
+
+
+def div(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    return _node(a.data / b.data, (a, b),
+                 lambda g: (_accum(a, g / b.data), _accum(b, -g * a.data / (b.data * b.data))))
+
+
+def neg(x: Tensor) -> Tensor:
+    return _node(-x.data, (x,), lambda g: _accum(x, -g))
+
+
+def transpose(x: Tensor) -> Tensor:
+    return _node(x.data.T, (x,), lambda g: _accum(x, g.T))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -86,8 +120,8 @@ def forward_graph(student, x: Tensor) -> tuple[Tensor, Tensor]:
 
 
 def l2_normalize(z: Tensor) -> Tensor:
-    norm = ((z * z).sum(axis=1, keepdims=True) + 1e-24).sqrt()
-    return z / norm
+    norm = sqrt((z * z).sum(axis=1, keepdims=True) + 1e-24)
+    return div(z, norm)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -104,12 +138,12 @@ def align_loss(z: Tensor, z_canon: Tensor, labels, tau: float) -> Tensor:
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) == 0:
         raise InvalidInputError("empty batch")
-    sim = (z @ z_canon.T) * (1.0 / tau)
+    sim = (z @ transpose(z_canon)) * (1.0 / tau)
     log_denom = logsumexp(sim, axis=1, keepdims=True)
     log_prob = sim - log_denom
     pos = (labels[:, None] == labels[None, :]).astype(np.float64)
     per_anchor = (log_prob * pos).sum(axis=1) * Tensor(1.0 / pos.sum(axis=1))
-    return -per_anchor.mean()
+    return neg(per_anchor.mean())
 
 
 def cluster_loss(z_canon: Tensor, labels, tau: float) -> Tensor:
@@ -117,7 +151,7 @@ def cluster_loss(z_canon: Tensor, labels, tau: float) -> Tensor:
     b = len(labels)
     if b < 2:
         raise InvalidInputError("cluster_loss needs a batch of at least 2")
-    sim = (z_canon @ z_canon.T) * (1.0 / tau)
+    sim = (z_canon @ transpose(z_canon)) * (1.0 / tau)
     off_diag = np.zeros((b, b))
     np.fill_diagonal(off_diag, -np.inf)
     masked = sim + Tensor(off_diag)
@@ -139,20 +173,20 @@ def cka_graph(x: Tensor, y: np.ndarray) -> Tensor:
     yc = np.asarray(y, dtype=np.float64)
     yc = yc - yc.mean(axis=0, keepdims=True)
     cross = Tensor(yc.T) @ xc
-    xx = xc.T @ xc
-    xn = ((xx * xx).sum()).sqrt()
+    xx = transpose(xc) @ xc
+    xn = sqrt((xx * xx).sum())
     yn = float(np.linalg.norm(yc.T @ yc))
     if yn == 0.0 or float(xn.item()) == 0.0:
         raise DegenerateInputError("constant features have degenerate CKA")
-    return (cross * cross).sum() / (xn * yn)
+    return div((cross * cross).sum(), xn * yn)
 
 
 def cka_distill_loss(z: Tensor, z_canon: Tensor, teacher_feats: np.ndarray,
                      lambda_cka: float) -> Tensor:
     cka_z = clamp_max(cka_graph(z, teacher_feats), 1.0 - 1e-7)
     cka_c = clamp_max(cka_graph(z_canon, teacher_feats), 1.0 - 1e-7)
-    term_z = (1.0 - cka_z).log()
-    term_c = (1.0 - cka_c).log()
+    term_z = log(Tensor(1.0) - cka_z)
+    term_c = log(Tensor(1.0) - cka_c)
     return lambda_cka * term_z + (1.0 - lambda_cka) * term_c
 
 

@@ -41,23 +41,19 @@ def chosen_te(te_reports):
 
 
 def class1_canonicalization(model, dataset, schedule, t_e):
-    """Canonicalize the first 100 class-1 samples and round-trip them unprojected."""
+    """Canonicalize the first 100 class-1 samples and decode their latents unprojected."""
     start = time.monotonic()
     xs, ys = dataset.xs(), dataset.ys()
     idx = np.flatnonzero(ys == 1)[:100]
     sel_x, sel_y = xs[idx], ys[idx]
-    bundles = canon.canonicalize_batch(sel_x, sel_y, model, schedule, t_e)
-    baseline = canon.plain_roundtrip(sel_x, sel_y, model, schedule, t_e)
+    bundles, x_te = canon.canonicalize_batch(sel_x, sel_y, model, schedule, t_e)
+    baseline = diffusion.decode_batch(x_te, t_e, sel_y, model, schedule)
     canonical = np.stack([b.canonical_sample for b in bundles])
-
-    def dists(points):
-        return np.array([toydata.distance_to_core_segment(p, 1) for p in points])
-
     return {
-        "sel_x": sel_x, "sel_y": sel_y, "bundles": bundles,
+        "sel_x": sel_x, "sel_y": sel_y, "bundles": bundles, "x_te": x_te,
         "canonical": canonical, "baseline": baseline,
-        "canon_dist": dists(canonical),
-        "base_dist": dists(baseline),
+        "canon_dist": toydata.distance_to_core_segment(canonical, sel_y),
+        "base_dist": toydata.distance_to_core_segment(baseline, sel_y),
         "elapsed": time.monotonic() - start,
     }
 
@@ -77,7 +73,7 @@ def exact_class1_run(dataset, schedule, chosen_te):
 @pytest.fixture(scope="module")
 def mixed_quality(trained_model, dataset, schedule, chosen_te):
     xs, ys = dataset.xs()[:100], dataset.ys()[:100]
-    bundles = canon.canonicalize_batch(xs, ys, trained_model, schedule, chosen_te)
+    bundles, _ = canon.canonicalize_batch(xs, ys, trained_model, schedule, chosen_te)
     canon_feats = np.stack([b.canonical_feature for b in bundles])
     t_r = max(1, round(0.1 * schedule.t_max))
     orig_lat = diffusion.invert_batch(xs, t_r, ys, trained_model, schedule)
@@ -162,12 +158,10 @@ def test_criterion_1_manifold_recovery(class1_run, exact_class1_run, capsys):
 
 def test_criterion_2_guided_decode_contrast(class1_run, trained_model, schedule,
                                             chosen_te, capsys):
-    sel_x, sel_y = class1_run["sel_x"], class1_run["sel_y"]
-    latents = diffusion.invert_batch(sel_x, chosen_te, sel_y, trained_model, schedule)
-    guided = diffusion.decode_batch(latents, chosen_te, sel_y, trained_model, schedule,
-                                    cfg_scale=3.0)
-    med_guided = float(np.median(
-        [toydata.distance_to_core_segment(p, 1) for p in guided]))
+    sel_y = class1_run["sel_y"]
+    guided = diffusion.decode_batch(class1_run["x_te"], chosen_te, sel_y, trained_model,
+                                    schedule, cfg_scale=3.0)
+    med_guided = float(np.median(toydata.distance_to_core_segment(guided, sel_y)))
     med_canon = float(np.median(class1_run["canon_dist"]))
     ok = med_guided > med_canon
     emit(capsys, 2, ok,
@@ -485,8 +479,8 @@ def clarep_pool(trained_model, dataset, schedule, chosen_te):
         order = rng.permutation(len(members))
         picked.extend(members[order[:count]].tolist())
     picked = sorted(picked)
-    bundles = canon.canonicalize_batch(xs[picked], ys[picked], trained_model,
-                                       schedule, chosen_te)
+    bundles, _ = canon.canonicalize_batch(xs[picked], ys[picked], trained_model,
+                                          schedule, chosen_te)
     return distill.ClaRepPool.from_bundles(bundles)
 
 

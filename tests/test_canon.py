@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffcanon import canon, toydata
-from diffcanon.diffusion import two_stage_batch
+from diffcanon.diffusion import decode_batch
 from diffcanon.errors import DegenerateInputError, InvalidInputError
 from diffcanon.rng import Rng
 
@@ -278,22 +278,23 @@ def class1_bundles(trained_model, schedule, dataset):
     xs, ys = dataset.xs(), dataset.ys()
     x1 = xs[ys == 1][:100]
     y1 = ys[ys == 1][:100]
-    bundles = canon.canonicalize_batch(x1, y1, trained_model, schedule, t_e=400)
-    return x1, y1, bundles
+    bundles, x_te = canon.canonicalize_batch(x1, y1, trained_model, schedule, t_e=400)
+    return x1, y1, bundles, x_te
 
 
 def test_canonical_distance_not_worse_than_roundtrip(class1_bundles, trained_model,
                                                      schedule):
-    x1, y1, bundles = class1_bundles
-    base = canon.plain_roundtrip(x1, y1, trained_model, schedule, 400)
-    d_canon = np.median([toydata.distance_to_core_segment(b.canonical_sample, 1)
-                         for b in bundles])
-    d_base = np.median([toydata.distance_to_core_segment(p, 1) for p in base])
+    x1, y1, bundles, x_te = class1_bundles
+    base = decode_batch(x_te, 400, y1, trained_model, schedule)
+    canonical = np.stack([b.canonical_sample for b in bundles])
+    d_canon = np.median(toydata.distance_to_core_segment(canonical, y1))
+    d_base = np.median(toydata.distance_to_core_segment(base, y1))
     assert d_canon <= d_base
 
 
 def test_bundle_fields_and_k(class1_bundles, schedule):
-    x1, _, bundles = class1_bundles
+    x1, _, bundles, x_te = class1_bundles
+    assert x_te.shape == x1.shape
     assert len(bundles) == len(x1)
     for i, b in enumerate(bundles):
         assert b.seed_sample_id == i
@@ -308,8 +309,9 @@ def test_bundle_fields_and_k(class1_bundles, schedule):
 def test_canonicalize_deterministic(trained_model, schedule, dataset):
     x = dataset.xs()[dataset.ys() == 1][:3]
     y = np.ones(3, dtype=np.int64)
-    b1 = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
-    b2 = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
+    b1, x_te1 = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
+    b2, x_te2 = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
+    assert np.array_equal(x_te1, x_te2)
     for a, b in zip(b1, b2):
         assert np.array_equal(a.latent, b.latent)
         assert np.array_equal(a.canonical_sample, b.canonical_sample)
@@ -327,9 +329,9 @@ def mixed_batch(dataset):
 def test_canonicalize_batch_equals_per_row_calls(denoiser, trained_model, schedule, dataset):
     model = trained_model if denoiser == "trained" else toydata.ExactDenoiser(schedule.alpha_bar)
     x, y = mixed_batch(dataset)
-    batch = canon.canonicalize_batch(x, y, model, schedule, t_e=600)
+    batch, _ = canon.canonicalize_batch(x, y, model, schedule, t_e=600)
     for i, b in enumerate(batch):
-        (one,) = canon.canonicalize_batch(x[i], y[i], model, schedule, t_e=600)
+        (one,), _ = canon.canonicalize_batch(x[i], y[i], model, schedule, t_e=600)
         assert b.k == one.k == 1
         for field in ("latent", "canonical_sample", "canonical_feature"):
             assert np.allclose(getattr(b, field), getattr(one, field), rtol=0, atol=1e-12)
@@ -340,9 +342,9 @@ def test_canonicalize_blocks_do_not_change_the_result(trained_model, schedule, d
     # not bitwise: BLAS sums a row of a 1-row block (row 9 here) in another
     # order than the same row inside a larger matrix product
     x, y = mixed_batch(dataset)
-    whole = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
+    whole, _ = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
     monkeypatch.setattr(canon, "_BLOCK_ROWS", 3)
-    blocked = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
+    blocked, _ = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
     for a, b in zip(whole, blocked):
         assert a.k == b.k
         for field in ("latent", "canonical_sample", "canonical_feature"):
@@ -350,7 +352,7 @@ def test_canonicalize_blocks_do_not_change_the_result(trained_model, schedule, d
 
 
 def test_bundles_jsonl_round_trip(class1_bundles, tmp_path):
-    _, _, bundles = class1_bundles
+    _, _, bundles, _ = class1_bundles
     path = str(tmp_path / "bundles.jsonl")
     canon.save_bundles(bundles, path)
     loaded = canon.load_bundles(path)
@@ -364,7 +366,7 @@ def test_bundles_jsonl_round_trip(class1_bundles, tmp_path):
 
 
 def test_failed_bundle_write_keeps_the_previous_file(class1_bundles, tmp_path):
-    _, _, bundles = class1_bundles
+    _, _, bundles, _ = class1_bundles
     path = tmp_path / "bundles.jsonl"
     canon.save_bundles(bundles, str(path))
     before = path.read_bytes()

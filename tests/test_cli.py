@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from diffcanon import cli, config
+from diffcanon import canon, cli, config, diffusion
 
 REDUCED = [
     "--set", "data.n=400",
@@ -293,6 +293,38 @@ def test_clarid_refuses_an_empty_selection(recipe_dir, tmp_path, capsys, selecti
     assert run("clarid", str(tmp_path), "--set", selection) == 1
     assert "code=CONFIG_ERROR" in capsys.readouterr().err
     assert not (tmp_path / "bundles.jsonl").exists()
+
+
+def test_clarid_inverts_once_to_t_e_and_once_to_t_r(recipe_dir, tmp_path, monkeypatch):
+    # the unprojected baseline decodes the latents that canonicalization
+    # inverted; only the canonical samples' features invert again, to t_r
+    copy_artifacts(recipe_dir, tmp_path, "toy_data.csv", "cdm_checkpoint.json", "te_report.json")
+    targets = []
+    invert = diffusion.invert_batch
+
+    def counted(x0, target_t, *args, **kwargs):
+        targets.append(target_t)
+        return invert(x0, target_t, *args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "invert_batch", counted)
+    monkeypatch.setattr(canon, "invert_batch", counted)
+    assert run("clarid", str(tmp_path)) == 0
+    with open(tmp_path / "te_report.json") as f:
+        t_e = json.load(f)["chosen"]
+    assert targets == [t_e, config.DEFAULTS["clarid.t_r"]]
+    for name in ("bundles.jsonl", "before_after.csv"):
+        assert filecmp.cmp(os.path.join(recipe_dir, name), tmp_path / name, shallow=False)
+
+
+def test_failed_json_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "te_report.json"
+    cli._write_json({"chosen": 400}, str(path))
+    before = path.read_bytes()
+    # json.dump writes the first key before it meets the value it cannot encode
+    with pytest.raises(TypeError):
+        cli._write_json({"a": 1, "b": object()}, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["te_report.json"]
 
 
 def test_eval_features_refuses_an_empty_bundle_file(recipe_dir, tmp_path, capsys):

@@ -105,6 +105,35 @@ def test_time_table_rows_equal_time_embedding(schedule):
     assert np.array_equal(model._inputs_np(x, 2.5, 1)[0][0, 2:18], time_embedding(2.5)[0])
 
 
+@pytest.mark.parametrize("t", [500, diffusion.TIME_TABLE_SIZE + 5, 2.5],
+                         ids=["table", "past-table", "non-integer"])
+@pytest.mark.parametrize("b", [1, 5])
+def test_scalar_timestep_equals_one_timestep_per_row(t, b):
+    # a scalar t is embedded once and broadcast; it must give what t repeated
+    # for every row gives, bit for bit
+    model = CondDenoiser(Rng(3))
+    x = Rng(4).normal((b, 2))
+    cond = np.arange(b) % (model.n_classes + 1)
+    rows = np.full(b, t)
+    v = np.array([0.6, -0.8])
+    assert np.array_equal(model.eps(x, t, cond), model.eps(x, rows, cond))
+    for layer in (1, 2):
+        assert np.array_equal(model.hidden(x, t, cond, layer), model.hidden(x, rows, cond, layer))
+        assert np.array_equal(model.feature_jvp(x, t, cond, v, layer),
+                              model.feature_jvp(x, rows, cond, v, layer))
+    w = Rng(5).normal((b, 2))
+
+    def graph(tt):
+        for p in model.parameters():
+            p.grad = None
+        out = model.eps_graph(x, tt, cond)
+        (out * ad.Tensor(w)).sum().backward()
+        return [out.data] + [p.grad for p in model.parameters()]
+
+    for a, c in zip(graph(t), graph(rows)):
+        assert np.array_equal(a, c)
+
+
 def reference_eps_graph(model, x_t, t, cond):
     """The per-op tape graph the fused eps_graph node replaces."""
     x_in = ad.Tensor(np.atleast_2d(x_t))
@@ -195,7 +224,7 @@ def test_frozen_batch_descent(trained_model, schedule, dataset):
 
     def batch_loss(m):
         pred = m.eps_graph(x_t, t, cond)
-        return ((pred - ad.Tensor(eps)) ** 2).mean()
+        return oracle.power(pred - ad.Tensor(eps), 2).mean()
 
     before = batch_loss(model).item()
     opt = ad.Adam(model.parameters(), lr=1e-5)

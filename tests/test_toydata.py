@@ -50,6 +50,47 @@ def test_distance_endpoint_case():
     assert toydata.distance_to_core_segment(np.array([4.3, 0.0]), 1) == pytest.approx(0.2)
 
 
+def scalar_distance_reference(x, y: int) -> float:
+    """The one-point distance, as computed before point arrays were accepted."""
+    center = toydata.CLASS_SHIFT * y
+    x1 = float(np.clip(x[0], center - toydata.CORE_HALF_WIDTH, center + toydata.CORE_HALF_WIDTH))
+    return float(np.hypot(x[0] - x1, x[1]))
+
+
+def test_distance_of_point_arrays_equals_per_point_calls():
+    rng = Rng(8)
+    ys = rng.integers(0, 2, size=200)
+    xs = np.stack([toydata.CLASS_SHIFT * ys + rng.uniform(-0.5, 0.5, size=200),
+                   0.2 * rng.normal(size=200)], axis=1)
+    hw = toydata.CORE_HALF_WIDTH
+    ends = np.array([[-hw, 0.0], [hw, 0.3], [4.0 - hw, -0.2], [4.0 + hw, 0.0]])
+    xs, ys = np.concatenate([xs, ends]), np.concatenate([ys, [0, 0, 1, 1]])
+    d = toydata.distance_to_core_segment(xs, ys)
+    assert d.shape == (len(xs),)
+    for i in range(len(xs)):
+        one = toydata.distance_to_core_segment(xs[i], int(ys[i]))
+        assert isinstance(one, float)
+        assert d[i] == one == scalar_distance_reference(xs[i], int(ys[i])), i
+    with pytest.raises(InvalidInputError):
+        toydata.distance_to_core_segment(xs[:3], np.array([0, 2, 1]))
+    with pytest.raises(InvalidInputError):
+        toydata.distance_to_core_segment(xs[0], 2)
+
+
+def test_failed_csv_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "toy_data.csv"
+    data = toydata.sample_dataset(5, Rng(6))
+    toydata.save_csv(data, str(path))
+    before = path.read_bytes()
+    # the third row cannot be formatted as a number, so the write fails part way
+    broken = toydata.ToyDataset(samples=data.samples[:2]
+                                + [toydata.LabeledSample(x=np.array(["a", "b"]), y=0)])
+    with pytest.raises(ValueError):
+        toydata.save_csv(broken, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["toy_data.csv"]
+
+
 def test_bayes_rule_on_noise_free_cores():
     xs = np.array([toydata.toy_point(y, u, np.zeros(2))
                    for y in (0, 1) for u in (-0.1, 0.0, 0.1)])

@@ -1,10 +1,10 @@
 """Per-op tape oracles for the fused nodes of the program.
 
 The student forward and each distillation loss term run in `distill` as
-one `autodiff.fused` node with a closed-form backward. The functions
-here build the same values from elementwise tape ops, so `backward()`
-differentiates them op by op; the tests check the fused nodes against
-them. The tape ops (relu, silu, clamp_max, logsumexp, concat,
+one `autodiff.fused` node with a closed-form backward, and the denoising
+loss as one `autodiff.mse` node. The functions here build the same
+values from elementwise tape ops, so `backward()` differentiates them op
+by op; the tests check the fused nodes against them. The tape ops (relu, silu, clamp_max, logsumexp, concat,
 embedding, and exp, log, sqrt, power, div, neg, transpose) have no
 caller in the program; the per-op denoiser graph in `test_diffusion.py`
 uses them too.
@@ -107,6 +107,12 @@ def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
         _accum(table, full)
 
     return _node(table.data[idx], (table,), push)
+
+
+def mse(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error of pred against a constant target, op by op."""
+    diff = pred - Tensor(target)
+    return (diff * diff).mean()
 
 
 # ---------------------------------------------------------------- student and losses

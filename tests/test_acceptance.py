@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from diffcanon import canon, cli, diffusion, distill, numerics, toydata
+from diffcanon import autodiff as ad
 from diffcanon.autodiff import Tensor
 from diffcanon.diffusion import CondDenoiser
 from diffcanon.rng import Rng
@@ -359,8 +360,7 @@ def test_criterion_5_numerical_checks(schedule, capsys):
     x_t = diffusion.q_sample(x0, t, eps, schedule)
 
     def diffusion_loss():
-        diff = model.eps_graph(x_t, t, cond) - Tensor(eps)
-        return (diff * diff).mean()
+        return ad.mse(model.eps_graph(x_t, t, cond), eps)
 
     for param in (model.W1, model.b2, model.W3, model.label_emb):
         worst_grad = max(worst_grad, fd_on_param(diffusion_loss, param))

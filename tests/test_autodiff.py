@@ -172,6 +172,22 @@ def test_sum_then_backward_gives_ones(seed):
     assert np.allclose(x.grad, np.ones((3, 2)))
 
 
+def test_mse_node_matches_per_op_graph_bitwise():
+    rng = Rng(62)
+    x = ad.Tensor(rng.normal(size=(37, 3)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    target = rng.normal(size=(37, 2))
+    results = []
+    for mse in (oracle.mse, ad.mse):
+        x.grad = w.grad = None
+        loss = mse(x @ w, target)
+        loss.backward()
+        results.append((loss.data, x.grad, w.grad))
+        assert oracle.reachable_nodes(loss) == (9 if mse is oracle.mse else 4)
+    for got, want in zip(results[1], results[0]):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------- flat optimizer state
 
 

@@ -70,3 +70,28 @@ def test_canonicalize_reaches_the_traced_jacobian_and_svd():
     for name in ("canon.jacobian", "diffusion.feature_jvp", "numerics.svd"):
         assert any(s[TRACING_MODULE.NAME] == name and under_top(i)
                    for i, s in enumerate(spans)), name
+
+
+def test_split_rows_keep_the_tracer_span_stack_whole(monkeypatch):
+    # perfbench's self-tests run tiny workloads that stay below PARALLEL_ROWS, so
+    # only this test puts the tracer over a batch the thread pool splits; the
+    # tracer keeps one span stack, which a traced call on a pool thread corrupts
+    monkeypatch.setattr(diffusion, "_WORKERS", 2)
+    tracing = TRACING_MODULE
+    tracer = tracing.Tracer()
+    model = diffusion.CondDenoiser(Rng(0))
+    sched = diffusion.linear_schedule(t_max=100, ddim_steps=10)
+    b = 2 * diffusion.PARALLEL_ROWS
+    x = Rng(1).normal((b, 2))
+    tracer.install()
+    try:
+        model.eps(x, 50, np.zeros(b, dtype=np.int64))
+        # guided: a null and a conditional call of b rows per step
+        diffusion.decode_batch(x, 50, 1, model, sched, cfg_scale=3.0)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    assert all(s[tracing.END] is not None for s in spans)
+    steps = len(diffusion.ddim_grid(sched, 50)) - 1
+    rows = [s[tracing.ATTRS]["rows"] for s in spans if s[tracing.NAME] == "diffusion.eps"]
+    assert rows == [b] * (1 + 2 * steps)

@@ -1,3 +1,7 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -107,7 +111,7 @@ def test_time_table_rows_equal_time_embedding(schedule):
 
 @pytest.mark.parametrize("t", [500, diffusion.TIME_TABLE_SIZE + 5, 2.5],
                          ids=["table", "past-table", "non-integer"])
-@pytest.mark.parametrize("b", [1, 5])
+@pytest.mark.parametrize("b", [1, 5, diffusion.PARALLEL_ROWS + 3])
 def test_scalar_timestep_equals_one_timestep_per_row(t, b):
     # a scalar t is embedded once and broadcast; it must give what t repeated
     # for every row gives, bit for bit
@@ -134,6 +138,76 @@ def test_scalar_timestep_equals_one_timestep_per_row(t, b):
         assert np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_row_split_equals_one_pass(monkeypatch, workers):
+    # eps and hidden cut a batch of PARALLEL_ROWS rows or more into one slice
+    # per worker, at multiples of _ROW_ALIGN rows; the result must be that of
+    # one _cache pass bit for bit, on either side of the threshold
+    monkeypatch.setattr(diffusion, "_WORKERS", workers)
+    model = CondDenoiser(Rng(6))
+    passes = []
+    one_pass = CondDenoiser._cache
+
+    def counted(self, *args):
+        passes.append(len(args[0]))
+        return one_pass(self, *args)
+
+    p = diffusion.PARALLEL_ROWS
+    for b in (p - 1, p, 2 * p + 1):
+        x = Rng(7).normal((b, 2))
+        cond = np.arange(b) % (model.n_classes + 1)
+        for t in (321, Rng(8).integers(1, 1001, size=b)):
+            want = one_pass(model, x, t, cond)
+            monkeypatch.setattr(CondDenoiser, "_cache", counted)
+            passes.clear()
+            got = [model.eps(x, t, cond)] + [model.hidden(x, t, cond, layer) for layer in (1, 2)]
+            monkeypatch.setattr(CondDenoiser, "_cache", one_pass)
+            # eps and both hidden layers: three calls, each cut into one slice per worker
+            assert len(passes) == 3 * (workers if b >= p else 1) and sum(passes) == 3 * b, b
+            for name, g in zip(("out", "h1", "h2"), got):
+                assert g.shape == want[name].shape and np.array_equal(g, want[name]), (b, name)
+
+
+def test_bad_label_in_a_worker_slice_raises_as_in_one_pass(monkeypatch):
+    monkeypatch.setattr(diffusion, "_WORKERS", 2)
+    model = CondDenoiser(Rng(9))
+    b = 2 * diffusion.PARALLEL_ROWS
+    x = Rng(10).normal((b, 2))
+    cond = np.zeros(b, dtype=np.int64)
+    cond[-1] = model.n_classes + 5  # in the last slice, which a pool thread runs
+    with pytest.raises(Exception) as one_pass:
+        model._cache(x, 10, cond)
+    with pytest.raises(Exception) as split:
+        model.eps(x, 10, cond)
+    assert split.type is one_pass.type
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_splits_rows_on_a_pool_of_its_own(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads;
+    # a job submitted to it would never run
+    monkeypatch.setattr(diffusion, "_WORKERS", 2)
+    model = CondDenoiser(Rng(13))
+    x = Rng(14).normal((2 * diffusion.PARALLEL_ROWS, 2))
+    want = model.eps(x, 10, 0)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os._exit(0 if np.array_equal(model.eps(x, 10, 0), want) else 1)
+        finally:
+            os._exit(2)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish eps within 30 s")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
 def reference_eps_graph(model, x_t, t, cond):
     """The per-op tape graph the fused eps_graph node replaces."""
     x_in = ad.Tensor(np.atleast_2d(x_t))
@@ -157,8 +231,7 @@ def test_fused_eps_graph_matches_per_op_graph_bitwise():
     results = []
     for graph in (reference_eps_graph, CondDenoiser.eps_graph):
         pred = graph(model, x_t, t, cond)
-        diff = pred - ad.Tensor(eps)
-        loss = (diff * diff).mean()
+        loss = oracle.mse(pred, eps)
         for p in model.parameters():
             p.grad = None
         loss.backward()

@@ -209,11 +209,7 @@ class _FlatOptimizer:
 
 
 class Adam(_FlatOptimizer):
-    """Standard bias-corrected Adam over a list of parameter Tensors.
-
-    A step runs in place on the state and two scratch buffers, in the
-    operation order of the textbook update, so its bits are the same.
-    """
+    """Standard bias-corrected Adam over a list of parameter Tensors."""
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
@@ -222,32 +218,21 @@ class Adam(_FlatOptimizer):
         self.eps, self.weight_decay = eps, weight_decay
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        self._num = np.empty_like(self.flat)
-        self._den = np.empty_like(self.flat)
         self.t = 0
 
     def step(self) -> None:
         self.t += 1
-        m_corr, v_corr = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
         for sl in self._gather():
             p, g, m, v = self.flat[sl], self.grad[sl], self.m[sl], self.v[sl]
-            num, den = self._num[sl], self._den[sl]
             if self.weight_decay:
-                g += np.multiply(self.weight_decay, p, out=num)
+                g += self.weight_decay * p
             m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=num)
+            m += (1.0 - self.beta1) * g
             v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=num)
-            num *= g
-            v += num
-            # p -= lr * (m / m_corr) / (sqrt(v / v_corr) + eps)
-            np.divide(m, m_corr, out=num)
-            num *= self.lr
-            np.divide(v, v_corr, out=den)
-            np.sqrt(den, out=den)
-            den += self.eps
-            num /= den
-            p -= num
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1 ** self.t)
+            v_hat = v / (1.0 - self.beta2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class SgdMomentum(_FlatOptimizer):

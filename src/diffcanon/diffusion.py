@@ -74,12 +74,8 @@ def _time_table(dim: int) -> np.ndarray:
 
 
 def _silu_deriv(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """d/da [a * s] for s = sigmoid(a), computed as s * (1 + a * (1 - s)) in one buffer."""
-    d = np.subtract(1.0, s)
-    d *= a
-    d += 1.0
-    d *= s
-    return d
+    """d/da [a * s] for s = sigmoid(a)."""
+    return s * (1.0 + a * (1.0 - s))
 
 
 # eps and hidden split a batch of PARALLEL_ROWS rows or more by rows over
@@ -92,10 +88,37 @@ PARALLEL_ROWS = 500
 # on x86-64) with a tail kernel whose bits differ, so only aligned cuts give
 # the one-pass bits.
 _ROW_ALIGN = 64
-try:
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:  # platforms without CPU affinity
-    _WORKERS = os.cpu_count() or 1
+# The most slices per batch: the threshold and the gain were measured at 2.
+_MAX_WORKERS = 2
+
+
+def _blas_threads() -> int | None:
+    """BLAS threads as OpenBLAS reads them at load: the first positive number among
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, or None (one per CPU)."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n
+    return None
+
+
+def _row_workers() -> int:
+    """Row slices per large batch: min(_MAX_WORKERS, usable CPUs) with BLAS pinned to
+    one thread, else 1. A multi-threaded BLAS already runs on the other CPUs, and
+    pool threads contending with it made a guided 1000-row decode slower."""
+    if _blas_threads() != 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(_MAX_WORKERS, cpus)
+
+
+_WORKERS = _row_workers()
 _pool: ThreadPoolExecutor | None = None
 
 
@@ -272,10 +295,8 @@ class CondDenoiser:
         e = self.embed_dim
 
         def grads(g):
-            d2 = g @ self.W3.data.T
-            d2 *= _silu_deriv(c["a2"], c["s2"])
-            d1 = d2 @ self.W2.data.T
-            d1 *= _silu_deriv(c["a1"], c["s1"])
+            d2 = (g @ self.W3.data.T) * _silu_deriv(c["a2"], c["s2"])
+            d1 = (d2 @ self.W2.data.T) * _silu_deriv(c["a1"], c["s1"])
             d_label = np.zeros_like(self.label_emb.data)
             np.add.at(d_label, c["cond"], (d1 @ self.W1.data.T)[:, 2 + e:])
             return (c["inp"].T @ d1, d1.sum(axis=0), c["h1"].T @ d2, d2.sum(axis=0),

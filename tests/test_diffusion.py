@@ -168,6 +168,27 @@ def test_row_split_equals_one_pass(monkeypatch, workers):
                 assert g.shape == want[name].shape and np.array_equal(g, want[name]), (b, name)
 
 
+@pytest.mark.parametrize("env, cpus, want", [
+    ({}, 2, 1),                                                # BLAS on every CPU
+    ({"OPENBLAS_NUM_THREADS": "4"}, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 64, diffusion._MAX_WORKERS),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),  # 0 falls through
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
+    ({"GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2, 2),
+])
+def test_rows_split_only_with_one_blas_thread(monkeypatch, env, cpus, want):
+    # a multi-threaded BLAS already runs on the other CPUs, and the slice count
+    # is capped at the count the threshold was measured at
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert diffusion._row_workers() == want
+
+
 def test_bad_label_in_a_worker_slice_raises_as_in_one_pass(monkeypatch):
     monkeypatch.setattr(diffusion, "_WORKERS", 2)
     model = CondDenoiser(Rng(9))

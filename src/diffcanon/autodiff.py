@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-Operations are matrix-level (affine maps, elementwise maps,
-reductions) rather than a scalar tape; `fused` makes a whole subgraph
-one node with a closed-form backward. Each Tensor produced
+Operations are matrix-level (addition, elementwise and matrix products)
+rather than a scalar tape; `fused` makes a whole subgraph one node with
+a closed-form backward. Each Tensor produced
 by an operation keeps references to its parents together with a closure
 that routes the output adjoint back to them; `backward()` replays the
 closures in reverse topological order. Everything runs in float64.
@@ -88,11 +88,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = _wrap(other)
-        return _node(self.data - o.data, (self, o),
-                     lambda g: (_accum(self, g), _accum(o, -g)))
-
     def __mul__(self, other):
         o = _wrap(other)
         return _node(self.data * o.data, (self, o),
@@ -104,23 +99,6 @@ class Tensor:
         o = _wrap(other)
         return _node(self.data @ o.data, (self, o),
                      lambda g: (_accum(self, g @ o.data.T), _accum(o, self.data.T @ g)))
-
-    # reductions
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def push(g):
-            gg = g
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            _accum(self, np.broadcast_to(gg, self.data.shape))
-
-        return _node(out, (self,), push)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
 def _wrap(x) -> Tensor:
@@ -161,8 +139,8 @@ def fused(data, params, grads) -> Tensor:
 def mse(pred: Tensor, target) -> Tensor:
     """Mean squared error of pred against a constant target, as one tape node.
 
-    Value and gradient are those the per-op graph
-    `diff = pred - Tensor(target); (diff * diff).mean()` replays, bit for bit.
+    Value and gradient are those of the per-op graph that subtracts the
+    target, squares and averages, bit for bit.
     """
     diff = pred.data - _as_array(target)
     scale = 1.0 / diff.size

@@ -12,7 +12,7 @@ yields its Canonical Feature.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -31,7 +31,29 @@ class ExtraneousBasis:
 
 
 @dataclass
+class Bundles:
+    """Canonical bundles as columns, one row per canonicalized sample."""
+
+    seed_sample_id: np.ndarray     # (N,) int64, the sample's dataset row
+    t_e: np.ndarray                # (N,) int64
+    k: np.ndarray                  # (N,) int64, directions projected out
+    cond: np.ndarray               # (N,) int64, the sample's class
+    latent: np.ndarray             # (N, d) projected latent at t_e
+    canonical_sample: np.ndarray   # (N, d)
+    canonical_feature: np.ndarray  # (N, F)
+
+    def __len__(self) -> int:
+        return len(self.seed_sample_id)
+
+
+# The integer columns; each of the others holds one vector per row.
+_ID_COLUMNS = ("seed_sample_id", "t_e", "k", "cond")
+
+
+@dataclass
 class CanonicalBundle:
+    """One row of a Bundles record, as a distillation pool entry holds it."""
+
     seed_sample_id: int
     t_e: int
     k: int
@@ -109,11 +131,12 @@ _BLOCK_ROWS = 256
 def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
                        sched: NoiseSchedule, t_e: int, cfg_scale: float = 1.0,
                        t_r: int | None = None,
-                       layer: int = 2) -> tuple[list[CanonicalBundle], np.ndarray]:
+                       layer: int = 2) -> tuple[Bundles, np.ndarray]:
     """Run the full extraction pipeline over a batch of labeled samples.
 
-    Returns the bundles and the (N, d) latents x_te the samples invert to,
-    before projection; decoding x_te gives the unprojected round trip.
+    Returns the bundles, with row i's seed_sample_id = i, and the (N, d)
+    latents x_te the samples invert to, before projection; decoding x_te
+    gives the unprojected round trip.
     Every step is batched; Jacobian, SVD, k and projection run in blocks of
     _BLOCK_ROWS rows. cfg_scale = 1 decodes without guidance.
     """
@@ -133,11 +156,10 @@ def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
     samples = decode_batch(latents, t_e, ys, model, sched, cfg_scale)
     feat_latents = invert_batch(samples, t_r, ys, model, sched)
     feats = model.hidden(feat_latents, t_r, ys, layer)
-    bundles = [CanonicalBundle(seed_sample_id=i, t_e=t_e, k=int(ks[i]), latent=latents[i],
-                               canonical_sample=samples[i], canonical_feature=feats[i],
-                               cond=int(ys[i]))
-               for i in range(len(xs))]
-    return bundles, x_te
+    n = len(xs)
+    return Bundles(seed_sample_id=np.arange(n), t_e=np.full(n, t_e, dtype=np.int64), k=ks,
+                   cond=ys.copy(), latent=latents, canonical_sample=samples,
+                   canonical_feature=feats), x_te
 
 
 def saturation_choice(grid: list[int], accuracies: list[float], tol: float) -> int:
@@ -174,26 +196,50 @@ def find_te(model: CondDenoiser, sched: NoiseSchedule, classifier_rule: Callable
     return TeSearchReport(grid=list(grid), accuracies=accuracies, chosen=chosen, tol=tol)
 
 
-def save_bundles(bundles: list[CanonicalBundle], path: str) -> None:
-    """Write bundles as JSON lines, one record of a bundle's fields per line, full precision."""
+def save_bundles(bundles: Bundles, path: str) -> None:
+    """Write bundles as JSON lines, one object of a row's fields per line, full precision."""
+    columns = {f.name: getattr(bundles, f.name) for f in fields(Bundles)}
     with atomic_write(path) as f:
-        for b in bundles:
-            record = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(b).items()}
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+        for i in range(len(bundles)):
+            f.write(json.dumps({name: col[i].tolist() for name, col in columns.items()},
+                               sort_keys=True) + "\n")
 
 
-def load_bundles(path: str) -> list[CanonicalBundle]:
-    bundles = []
+def load_bundles(path: str) -> Bundles:
+    """Read a save_bundles file into one record; an empty file gives zero rows.
+
+    The lines are counted first, so that each column is allocated once, at
+    the first line's widths, and filled one parsed line at a time. A line is
+    refused, by its number, unless it is a JSON object with every field, an
+    integer for each id and a list of finite numbers as long as the first
+    line's for each vector.
+    """
     with open(path) as f:
-        for line in f:
-            r = json.loads(line)
-            bundles.append(CanonicalBundle(
-                seed_sample_id=r["seed_sample_id"], t_e=r["t_e"], k=r["k"],
-                latent=np.asarray(r["latent"]),
-                canonical_sample=np.asarray(r["canonical_sample"]),
-                canonical_feature=np.asarray(r["canonical_feature"]),
-                cond=r["cond"]))
-    return bundles
+        n = sum(1 for _ in f)
+        f.seek(0)
+        columns = {name: np.empty(n, dtype=np.int64) if name in _ID_COLUMNS else np.empty((n, 0))
+                   for name in (field.name for field in fields(Bundles))}
+        for i, line in enumerate(f):
+            try:
+                record = json.loads(line)
+                if i == 0:
+                    columns = {name: np.empty((n, len(record[name]))) if col.ndim == 2 else col
+                               for name, col in columns.items()}
+                for name, col in columns.items():
+                    value = record[name]
+                    if col.ndim == 1 and type(value) is not int:
+                        raise ValueError(f"{name} is not an integer")
+                    if col.ndim == 2 and (type(value) is not list or len(value) != col.shape[1]):
+                        raise ValueError(f"{name} is not a list as long as on line 1")
+                    col[i] = value
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InvalidInputError(
+                    f"{path} line {i + 1} is not a bundle ({type(exc).__name__}: {exc})") from exc
+    for name, col in columns.items():
+        bad = np.flatnonzero(~np.isfinite(col).all(axis=1)) if col.ndim == 2 else []
+        if len(bad):
+            raise InvalidInputError(f"{path} line {bad[0] + 1}: {name} is not finite")
+    return Bundles(**columns)
 
 
 def feature_quality(features: np.ndarray, labels, k_clusters: int,

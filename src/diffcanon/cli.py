@@ -38,8 +38,7 @@ SUMMARY = "summary.csv"
 def _schedule(cfg: dict) -> diffusion.NoiseSchedule:
     return diffusion.linear_schedule(
         t_max=cfg["schedule.t_max"], beta_start=cfg["schedule.beta_start"],
-        beta_end=cfg["schedule.beta_end"], ddim_eta=cfg["schedule.ddim_eta"],
-        ddim_steps=cfg["schedule.ddim_steps"])
+        beta_end=cfg["schedule.beta_end"], ddim_steps=cfg["schedule.ddim_steps"])
 
 
 def _require(path: str, hint: str) -> str:
@@ -80,7 +79,7 @@ def _select_indices(ys: np.ndarray, cfg: dict) -> np.ndarray:
 
 
 def _canonicalize(cfg: dict, model, sched, t_e: int, xs, ys, idx,
-                  path: str) -> tuple[list, np.ndarray]:
+                  path: str) -> tuple[canon.Bundles, np.ndarray]:
     """Canonicalize dataset rows idx, id each bundle by its row and write them to path.
 
     Returns the bundles and the rows' inverted latents x_te.
@@ -88,8 +87,7 @@ def _canonicalize(cfg: dict, model, sched, t_e: int, xs, ys, idx,
     bundles, x_te = canon.canonicalize_batch(xs[idx], ys[idx], model, sched, t_e,
                                              cfg_scale=cfg["clarid.cfg_scale"],
                                              t_r=cfg["clarid.t_r"], layer=cfg["clarid.layer"])
-    for b, i in zip(bundles, idx):
-        b.seed_sample_id = int(i)
+    bundles.seed_sample_id = np.asarray(idx, dtype=np.int64)
     canon.save_bundles(bundles, path)
     return bundles, x_te
 
@@ -130,43 +128,44 @@ def cmd_clarid(cfg: dict, out: str) -> None:
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
     sched = _schedule(cfg)
     t_e = _chosen_te(cfg, out)
-    xs, ys = dataset.xs(), dataset.ys()
+    xs, ys = dataset.xs, dataset.ys
     idx = _select_indices(ys, cfg)
     sel_x, sel_y = xs[idx], ys[idx]
     bundles, x_te = _canonicalize(cfg, model, sched, t_e, xs, ys, idx,
                                   os.path.join(out, BUNDLES))
     baseline = diffusion.decode_batch(x_te, t_e, sel_y, model, sched, cfg["clarid.cfg_scale"])
-    points = (sel_x, baseline, np.stack([b.canonical_sample for b in bundles]))
+    points = (sel_x, baseline, bundles.canonical_sample)
     coords = np.concatenate(points, axis=1).tolist()
     dists = np.stack([toydata.distance_to_core_segment(p, sel_y) for p in points],
                      axis=1).tolist()
     _write_csv(os.path.join(out, BEFORE_AFTER),
                ["sample_id", "label", "orig_x1", "orig_x2", "base_x1", "base_x2",
                 "canon_x1", "canon_x2", "k", "dist_orig", "dist_base", "dist_canon"],
-               ([b.seed_sample_id, int(y), *(f"{v:.6f}" for v in c), b.k,
-                 *(f"{v:.6f}" for v in d)]
-                for b, y, c, d in zip(bundles, sel_y, coords, dists)))
+               ([i, y, *(f"{v:.6f}" for v in c), k, *(f"{v:.6f}" for v in d)]
+                for i, y, c, k, d in zip(bundles.seed_sample_id.tolist(), sel_y.tolist(),
+                                         coords, bundles.k.tolist(), dists)))
 
 
 def cmd_eval_features(cfg: dict, out: str) -> None:
     model = diffusion.load_checkpoint(_require(os.path.join(out, CDM_CKPT), "denoiser checkpoint"))
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
-    bundles = canon.load_bundles(_require(os.path.join(out, BUNDLES), "bundle file"))
-    if not bundles:
-        raise InvalidInputError(f"{os.path.join(out, BUNDLES)} holds no bundles")
+    path = _require(os.path.join(out, BUNDLES), "bundle file")
+    bundles = canon.load_bundles(path)
+    if not len(bundles):
+        raise InvalidInputError(f"{path} holds no bundles")
+    ids, labels = bundles.seed_sample_id, bundles.cond
+    if np.any((ids < 0) | (ids >= len(dataset))):
+        raise InvalidInputError(f"{path} names samples outside the {len(dataset)} dataset rows")
     sched = _schedule(cfg)
     t_r = cfg["clarid.t_r"]
     layer = cfg["clarid.layer"]
-    canon_feats = np.stack([b.canonical_feature for b in bundles])
-    labels = np.array([b.cond for b in bundles], dtype=np.int64)
-    ids = np.array([b.seed_sample_id for b in bundles])
-    orig_x = dataset.xs()[ids]
+    orig_x = dataset.xs[ids]
     orig_latents = diffusion.invert_batch(orig_x, t_r, labels, model, sched)
     orig_feats = model.hidden(orig_latents, t_r, labels, layer)
     k = len(np.unique(labels))
     rng = Rng(cfg["seed"])
     payload = {}
-    for kind, feats, stream in (("canonical", canon_feats, "fq-canon"),
+    for kind, feats, stream in (("canonical", bundles.canonical_feature, "fq-canon"),
                                 ("original", orig_feats, "fq-orig")):
         payload[f"within_class_var_{kind}"] = {
             str(c): v for c, v in canon.within_class_var(feats, labels).items()}
@@ -181,7 +180,7 @@ def cmd_build_pool(cfg: dict, out: str) -> None:
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
     sched = _schedule(cfg)
     t_e = _chosen_te(cfg, out)
-    xs, ys = dataset.xs(), dataset.ys()
+    xs, ys = dataset.xs, dataset.ys
     rng = Rng(cfg["seed"]).split("pool-select")
     picked = []
     for c in np.unique(ys):
@@ -198,8 +197,8 @@ def cmd_train_student(cfg: dict, out: str) -> None:
     vanilla = cfg["student.vanilla"]
     pool = None
     if not vanilla:
-        bundles = canon.load_bundles(_require(os.path.join(out, POOL_FILE), "pool file"))
-        pool = distill.ClaRepPool.from_bundles(bundles)
+        pool = distill.ClaRepPool.from_bundles(
+            canon.load_bundles(_require(os.path.join(out, POOL_FILE), "pool file")))
     dc = distill.DistillConfig(
         tau=cfg["student.tau"], lambda_cs=cfg["student.lambda_cs"],
         lambda_cf=cfg["student.lambda_cf"], lambda_dist=cfg["student.lambda_dist"],
@@ -222,12 +221,12 @@ def cmd_attack(cfg: dict, out: str) -> None:
         _require(os.path.join(out, f"{target}_checkpoint.json"), f"{target} checkpoint"))
     eval_data = toydata.sample_dataset(cfg["eval.n"], Rng(cfg["seed"]).split("eval-data"))
     atk = distill.AttackConfig(epsilon=cfg["attack.epsilon"], steps=cfg["attack.steps"],
-                               step_size=cfg["attack.step_size"], norm=cfg["attack.norm"])
+                               step_size=cfg["attack.step_size"])
     report = distill.evaluate(student, eval_data, atk, Rng(cfg["seed"]).split("attack"))
     _write_json({"target": target, "clean_accuracy": report.clean_accuracy,
                  "robust_accuracy": report.robust_accuracy,
                  "attack": {"epsilon": atk.epsilon, "steps": atk.steps,
-                            "step_size": atk.step_size, "norm": atk.norm}},
+                            "step_size": atk.step_size, "norm": "linf"}},
                 os.path.join(out, f"metrics_{target}.json"))
 
 

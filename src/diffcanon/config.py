@@ -22,7 +22,6 @@ DEFAULTS: dict[str, object] = {
     "schedule.t_max": 1000,
     "schedule.beta_start": 1e-4,
     "schedule.beta_end": 0.02,
-    "schedule.ddim_eta": 0.0,
     "schedule.ddim_steps": 100,
     "cdm.epochs": 1000,
     "cdm.batch_size": 128,
@@ -54,7 +53,6 @@ DEFAULTS: dict[str, object] = {
     "attack.epsilon": 0.1,
     "attack.steps": 5,
     "attack.step_size": 0.05,
-    "attack.norm": "linf",
     "eval.n": 2000,
 }
 

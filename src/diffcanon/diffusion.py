@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, InvalidInputError, TrainingDivergedError
+from .errors import InvalidInputError, TrainingDivergedError
 from .rng import Rng
 from .toydata import ToyDataset
 
@@ -39,17 +39,15 @@ class NoiseSchedule:
     t_max: int
     beta: np.ndarray            # beta[0] unused, beta[1..T] the forward variances
     alpha_bar: np.ndarray       # alpha_bar[t] = prod_{k<=t} (1 - beta_k), alpha_bar[0] = 1
-    ddim_eta: float = 0.0
     ddim_steps: int = 100
 
 
 def linear_schedule(t_max: int = 1000, beta_start: float = 1e-4, beta_end: float = 0.02,
-                    ddim_eta: float = 0.0, ddim_steps: int = 100) -> NoiseSchedule:
+                    ddim_steps: int = 100) -> NoiseSchedule:
     beta = np.zeros(t_max + 1)
     beta[1:] = np.linspace(beta_start, beta_end, t_max)
     alpha_bar = np.cumprod(1.0 - beta)
-    return NoiseSchedule(t_max=t_max, beta=beta, alpha_bar=alpha_bar,
-                         ddim_eta=ddim_eta, ddim_steps=ddim_steps)
+    return NoiseSchedule(t_max=t_max, beta=beta, alpha_bar=alpha_bar, ddim_steps=ddim_steps)
 
 
 def time_embedding(t, dim: int = 16) -> np.ndarray:
@@ -347,7 +345,7 @@ def train_cdm(data: ToyDataset, sched: NoiseSchedule, cfg: TrainConfig, rng: Rng
     opt = ad.Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                   eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
     train_rng = rng.split("train")
-    xs, ys = data.xs(), data.ys()
+    xs, ys = data.xs, data.ys
     n = len(data)
     losses = []
     averages = [np.zeros_like(p.data) for p in params]
@@ -418,14 +416,19 @@ def ddim_grid(sched: NoiseSchedule, top_t: int) -> list[int]:
     return grid
 
 
+def _ddim_step(x: np.ndarray, eps_hat: np.ndarray, a_from: float, a_to: float) -> np.ndarray:
+    """One deterministic (eta = 0) DDIM step between noise levels alpha_bar a_from and a_to."""
+    x0_hat = (x - np.sqrt(1.0 - a_from) * eps_hat) / np.sqrt(a_from)
+    return np.sqrt(a_to) * x0_hat + np.sqrt(1.0 - a_to) * eps_hat
+
+
 def decode_batch(x: np.ndarray, t: int, cond, model: CondDenoiser, sched: NoiseSchedule,
-                 cfg_scale: float = 1.0, rng: Rng | None = None,
-                 te_switch: int | None = None) -> np.ndarray:
-    """DDIM decode of a batch from timestep t down to 0.
+                 cfg_scale: float = 1.0, te_switch: int | None = None) -> np.ndarray:
+    """Deterministic DDIM decode of a batch from timestep t down to 0.
 
     With te_switch set, steps whose upper timestep exceeds the switch
     use the null condition (two-stage sampling); otherwise cond is used
-    throughout. eta > 0 adds per-step noise drawn from rng.
+    throughout.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64)).copy()
     if t == 0:
@@ -433,23 +436,12 @@ def decode_batch(x: np.ndarray, t: int, cond, model: CondDenoiser, sched: NoiseS
     grid = ddim_grid(sched, t)
     cond_arr = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (x.shape[0],))
     null_arr = np.full(x.shape[0], model.null_id, dtype=np.int64)
-    eta = sched.ddim_eta
-    if eta != 0.0 and rng is None:
-        raise InvalidInputError("eta > 0 requires an rng for the per-step noise")
     for hi, lo in zip(reversed(grid[1:]), reversed(grid[:-1])):
         step_cond = cond_arr
         if te_switch is not None and hi > te_switch:
             step_cond = null_arr
         eps_hat = guided_eps(model, x, hi, step_cond, cfg_scale)
-        a_hi, a_lo = sched.alpha_bar[hi], sched.alpha_bar[lo]
-        x0_hat = (x - np.sqrt(1.0 - a_hi) * eps_hat) / np.sqrt(a_hi)
-        if eta != 0.0:
-            xi = eta * np.sqrt((1.0 - a_lo) / (1.0 - a_hi)) * np.sqrt(1.0 - a_hi / a_lo)
-        else:
-            xi = 0.0
-        x = np.sqrt(a_lo) * x0_hat + np.sqrt(max(1.0 - a_lo - xi * xi, 0.0)) * eps_hat
-        if eta != 0.0:
-            x = x + xi * rng.normal(x.shape)
+        x = _ddim_step(x, eps_hat, sched.alpha_bar[hi], sched.alpha_bar[lo])
     return x
 
 
@@ -457,12 +449,10 @@ def invert_batch(x0: np.ndarray, target_t: int, cond, model: CondDenoiser,
                  sched: NoiseSchedule) -> np.ndarray:
     """Deterministic DDIM inversion of a batch from data space to target_t.
 
-    Reverses the eta = 0 decode by evaluating the noise prediction at the
+    Reverses the decode by evaluating the noise prediction at the
     current lower-noise state (timestep clamped to at least 1) and
     re-noising one grid step at a time.
     """
-    if sched.ddim_eta != 0.0:
-        raise ContractError("inversion requires a deterministic schedule (eta = 0)")
     x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
     if target_t == 0:
         return x
@@ -470,9 +460,7 @@ def invert_batch(x0: np.ndarray, target_t: int, cond, model: CondDenoiser,
     cond_arr = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (x.shape[0],))
     for lo, hi in zip(grid[:-1], grid[1:]):
         eps_hat = model.eps(x, max(lo, 1), cond_arr)
-        a_lo, a_hi = sched.alpha_bar[lo], sched.alpha_bar[hi]
-        x0_hat = (x - np.sqrt(1.0 - a_lo) * eps_hat) / np.sqrt(a_lo)
-        x = np.sqrt(a_hi) * x0_hat + np.sqrt(1.0 - a_hi) * eps_hat
+        x = _ddim_step(x, eps_hat, sched.alpha_bar[lo], sched.alpha_bar[hi])
     return x
 
 
@@ -482,7 +470,7 @@ def two_stage_batch(n: int, t_e: int, cond: int, model: CondDenoiser, sched: Noi
     if t_e < 0 or t_e > sched.t_max:
         raise InvalidInputError(f"t_e out of range [0, {sched.t_max}]")
     x_T = rng.normal((n, 2))
-    return decode_batch(x_T, sched.t_max, cond, model, sched, cfg_scale, rng, te_switch=t_e)
+    return decode_batch(x_T, sched.t_max, cond, model, sched, cfg_scale, te_switch=t_e)
 
 
 def save_checkpoint(model: CondDenoiser, path: str) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .canon import CanonicalBundle
+from .canon import Bundles, CanonicalBundle
 from .errors import (ConfigError, DegenerateInputError, InvalidInputError,
                      TrainingDivergedError)
 from .rng import Rng
@@ -84,14 +84,21 @@ class ClaRepPool:
     by_class: dict[int, list[CanonicalBundle]]
 
     @classmethod
-    def from_bundles(cls, bundles: list[CanonicalBundle]) -> "ClaRepPool":
-        by_class: dict[int, list[CanonicalBundle]] = {}
-        for b in bundles:
-            by_class.setdefault(int(b.cond), []).append(b)
-        return cls(by_class=by_class)
+    def from_bundles(cls, bundles: Bundles) -> "ClaRepPool":
+        """One entry per row of the record, built once, grouped by class.
 
-    def size(self) -> int:
-        return sum(len(v) for v in self.by_class.values())
+        The entries are persistent objects, so the same row always comes
+        back from sample_bundles as the same object.
+        """
+        by_class: dict[int, list[CanonicalBundle]] = {}
+        rows = zip(bundles.seed_sample_id.tolist(), bundles.t_e.tolist(), bundles.k.tolist(),
+                   bundles.cond.tolist(), bundles.latent, bundles.canonical_sample,
+                   bundles.canonical_feature)
+        for sid, t_e, k, cond, latent, sample, feature in rows:
+            by_class.setdefault(cond, []).append(CanonicalBundle(
+                seed_sample_id=sid, t_e=t_e, k=k, latent=latent, canonical_sample=sample,
+                canonical_feature=feature, cond=cond))
+        return cls(by_class=by_class)
 
 
 @dataclass
@@ -113,7 +120,6 @@ class AttackConfig:
     epsilon: float = 0.1
     steps: int = 5
     step_size: float = 0.05
-    norm: str = "linf"
 
 
 @dataclass
@@ -321,7 +327,7 @@ def train_student(data: ToyDataset, pool: ClaRepPool | None, cfg: DistillConfig,
     Returns (student, per-epoch component log).
     """
     if pool is not None:
-        for y in np.unique(data.ys()):
+        for y in np.unique(data.ys):
             if int(y) not in pool.by_class or not pool.by_class[int(y)]:
                 raise ConfigError(f"pool has no entries for class {int(y)}")
     student = StudentClassifier(rng.split("init"))
@@ -333,7 +339,7 @@ def train_student(data: ToyDataset, pool: ClaRepPool | None, cfg: DistillConfig,
         raise ConfigError(f"unknown optimizer: {cfg.optimizer}")
     train_rng = rng.split("train")
     pool_rng = rng.split("pool")
-    xs, ys = data.xs(), data.ys()
+    xs, ys = data.xs, data.ys
     n = len(data)
     bounds = list(range(0, n, cfg.batch_size)) + [n]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
@@ -366,8 +372,6 @@ def pgd_attack(student: StudentClassifier, x: np.ndarray, y: np.ndarray,
     With rng=None the attack starts at the clean input (steps=1 with
     step_size=epsilon then reduces to FGSM).
     """
-    if atk.norm != "linf":
-        raise InvalidInputError(f"unsupported attack norm: {atk.norm}")
     if atk.epsilon <= 0 or atk.steps < 1:
         raise InvalidInputError("attack needs epsilon > 0 and steps >= 1")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -389,7 +393,7 @@ def pgd_attack(student: StudentClassifier, x: np.ndarray, y: np.ndarray,
 def evaluate(student: StudentClassifier, data: ToyDataset,
              atk: AttackConfig | None = None, rng: Rng | None = None) -> MetricsReport:
     """Clean accuracy, and robust accuracy under the attack if given."""
-    xs, ys = data.xs(), data.ys()
+    xs, ys = data.xs, data.ys
     clean = float(np.mean(student.predict(xs) == ys))
     robust = None
     if atk is not None:

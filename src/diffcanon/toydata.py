@@ -9,6 +9,7 @@ clean class manifold is strictly lower-dimensional than the data.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,23 +25,14 @@ SKEW_GAIN = 3.0
 
 
 @dataclass
-class LabeledSample:
-    x: np.ndarray
-    y: int
-
-
-@dataclass
 class ToyDataset:
-    samples: list[LabeledSample]
+    """n labeled points as columns: xs (n, 2) float64 and ys (n,) int64."""
 
-    def xs(self) -> np.ndarray:
-        return np.stack([s.x for s in self.samples])
-
-    def ys(self) -> np.ndarray:
-        return np.array([s.y for s in self.samples], dtype=np.int64)
+    xs: np.ndarray
+    ys: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ys)
 
 
 def toy_point(y: int, u: float, eps: np.ndarray) -> np.ndarray:
@@ -58,8 +50,7 @@ def sample_dataset(n: int, rng: Rng) -> ToyDataset:
     u = rng.uniform(-CORE_HALF_WIDTH, CORE_HALF_WIDTH, size=n)
     eps = NOISE_STD * rng.normal((n, 2))
     x1 = u + CLASS_SHIFT * y + eps[:, 0] + SKEW_GAIN * np.abs(eps[:, 1])
-    samples = [LabeledSample(x=np.array([x1[i], eps[i, 1]]), y=int(y[i])) for i in range(n)]
-    return ToyDataset(samples=samples)
+    return ToyDataset(xs=np.column_stack((x1, eps[:, 1])), ys=y.astype(np.int64))
 
 
 def distance_to_core_segment(x, y):
@@ -241,15 +232,27 @@ def save_csv(dataset: ToyDataset, path: str) -> None:
     with atomic_write(path) as f:
         w = csv.writer(f)
         w.writerow(["x1", "x2", "label"])
-        for s in dataset.samples:
-            w.writerow([f"{s.x[0]:.6f}", f"{s.x[1]:.6f}", s.y])
+        w.writerows([f"{x1:.6f}", f"{x2:.6f}", y]
+                    for (x1, x2), y in zip(dataset.xs.tolist(), dataset.ys.tolist()))
 
 
 def load_csv(path: str) -> ToyDataset:
-    samples = []
+    """Read a save_csv file, refusing a row that is not x1,x2,label with finite
+    coordinates and a label 0 or 1, by its line number."""
+    xs, ys = [], []
     with open(path, newline="") as f:
         r = csv.reader(f)
-        next(r)
+        next(r, None)
         for row in r:
-            samples.append(LabeledSample(x=np.array([float(row[0]), float(row[1])]), y=int(row[2])))
-    return ToyDataset(samples=samples)
+            try:
+                x1, x2, y = row
+                x, y = (float(x1), float(x2)), int(y)
+            except ValueError as exc:
+                raise InvalidInputError(f"{path} line {r.line_num}: {exc}") from exc
+            if not (math.isfinite(x[0]) and math.isfinite(x[1])) or y not in (0, 1):
+                raise InvalidInputError(f"{path} line {r.line_num}: needs finite "
+                                        f"coordinates and a label 0 or 1, got {row}")
+            xs.append(x)
+            ys.append(y)
+    return ToyDataset(xs=np.array(xs, dtype=np.float64).reshape(-1, 2),
+                      ys=np.array(ys, dtype=np.int64))

@@ -4,10 +4,11 @@ The student forward and each distillation loss term run in `distill` as
 one `autodiff.fused` node with a closed-form backward, and the denoising
 loss as one `autodiff.mse` node. The functions here build the same
 values from elementwise tape ops, so `backward()` differentiates them op
-by op; the tests check the fused nodes against them. The tape ops (relu, silu, clamp_max, logsumexp, concat,
-embedding, and exp, log, sqrt, power, div, neg, transpose) have no
-caller in the program; the per-op denoiser graph in `test_diffusion.py`
-uses them too.
+by op; the tests check the fused nodes against them. The tape ops (sub,
+sum_, mean, relu, silu, clamp_max, logsumexp, concat, embedding, and exp,
+log, sqrt, power, div, neg, transpose) have no caller in the program;
+the per-op denoiser graph in `test_diffusion.py` and the
+finite-difference tests use them too.
 """
 
 import numpy as np
@@ -16,6 +17,25 @@ from diffcanon.autodiff import Tensor, _accum, _node, _wrap
 from diffcanon.errors import DegenerateInputError, InvalidInputError
 
 # ---------------------------------------------------------------- tape ops
+
+
+def sub(a, b) -> Tensor:
+    a, b = _wrap(a), _wrap(b)
+    return _node(a.data - b.data, (a, b), lambda g: (_accum(a, g), _accum(b, -g)))
+
+
+def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    def push(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(x, np.broadcast_to(g, x.data.shape))
+
+    return _node(x.data.sum(axis=axis, keepdims=keepdims), (x,), push)
+
+
+def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    count = x.data.size if axis is None else x.data.shape[axis]
+    return sum_(x, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -111,8 +131,8 @@ def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
 
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean squared error of pred against a constant target, op by op."""
-    diff = pred - Tensor(target)
-    return (diff * diff).mean()
+    diff = sub(pred, target)
+    return mean(diff * diff)
 
 
 # ---------------------------------------------------------------- student and losses
@@ -126,7 +146,7 @@ def forward_graph(student, x: Tensor) -> tuple[Tensor, Tensor]:
 
 
 def l2_normalize(z: Tensor) -> Tensor:
-    norm = sqrt((z * z).sum(axis=1, keepdims=True) + 1e-24)
+    norm = sqrt(sum_(z * z, axis=1, keepdims=True) + 1e-24)
     return div(z, norm)
 
 
@@ -136,8 +156,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     onehot = np.zeros((b, c))
     onehot[np.arange(b), labels] = 1.0
     log_denom = logsumexp(logits, axis=1)
-    picked = (logits * onehot).sum(axis=1)
-    return (log_denom - picked).mean()
+    picked = sum_(logits * onehot, axis=1)
+    return mean(sub(log_denom, picked))
 
 
 def align_loss(z: Tensor, z_canon: Tensor, labels, tau: float) -> Tensor:
@@ -146,10 +166,10 @@ def align_loss(z: Tensor, z_canon: Tensor, labels, tau: float) -> Tensor:
         raise InvalidInputError("empty batch")
     sim = (z @ transpose(z_canon)) * (1.0 / tau)
     log_denom = logsumexp(sim, axis=1, keepdims=True)
-    log_prob = sim - log_denom
+    log_prob = sub(sim, log_denom)
     pos = (labels[:, None] == labels[None, :]).astype(np.float64)
-    per_anchor = (log_prob * pos).sum(axis=1) * Tensor(1.0 / pos.sum(axis=1))
-    return neg(per_anchor.mean())
+    per_anchor = sum_(log_prob * pos, axis=1) * Tensor(1.0 / pos.sum(axis=1))
+    return neg(mean(per_anchor))
 
 
 def cluster_loss(z_canon: Tensor, labels, tau: float) -> Tensor:
@@ -162,37 +182,37 @@ def cluster_loss(z_canon: Tensor, labels, tau: float) -> Tensor:
     np.fill_diagonal(off_diag, -np.inf)
     masked = sim + Tensor(off_diag)
     log_denom = logsumexp(masked, axis=1)
-    log_prob = sim - logsumexp(masked, axis=1, keepdims=True)
+    log_prob = sub(sim, logsumexp(masked, axis=1, keepdims=True))
     pos = (labels[:, None] == labels[None, :]).astype(np.float64)
     np.fill_diagonal(pos, 0.0)
     counts = pos.sum(axis=1)
     has_pos = counts > 0
     weights = np.where(has_pos, 1.0 / np.maximum(counts, 1.0), 0.0)
-    pos_part = (log_prob * pos).sum(axis=1) * Tensor(-weights)
+    pos_part = sum_(log_prob * pos, axis=1) * Tensor(-weights)
     fallback = log_denom * Tensor((~has_pos).astype(np.float64))
-    return (pos_part + fallback).mean()
+    return mean(pos_part + fallback)
 
 
 def cka_graph(x: Tensor, y: np.ndarray) -> Tensor:
     """Linear CKA between a graph tensor and a constant feature matrix."""
-    xc = x - x.mean(axis=0, keepdims=True)
+    xc = sub(x, mean(x, axis=0, keepdims=True))
     yc = np.asarray(y, dtype=np.float64)
     yc = yc - yc.mean(axis=0, keepdims=True)
     cross = Tensor(yc.T) @ xc
     xx = transpose(xc) @ xc
-    xn = sqrt((xx * xx).sum())
+    xn = sqrt(sum_(xx * xx))
     yn = float(np.linalg.norm(yc.T @ yc))
     if yn == 0.0 or float(xn.item()) == 0.0:
         raise DegenerateInputError("constant features have degenerate CKA")
-    return div((cross * cross).sum(), xn * yn)
+    return div(sum_(cross * cross), xn * yn)
 
 
 def cka_distill_loss(z: Tensor, z_canon: Tensor, teacher_feats: np.ndarray,
                      lambda_cka: float) -> Tensor:
     cka_z = clamp_max(cka_graph(z, teacher_feats), 1.0 - 1e-7)
     cka_c = clamp_max(cka_graph(z_canon, teacher_feats), 1.0 - 1e-7)
-    term_z = log(Tensor(1.0) - cka_z)
-    term_c = log(Tensor(1.0) - cka_c)
+    term_z = log(sub(1.0, cka_z))
+    term_c = log(sub(1.0, cka_c))
     return lambda_cka * term_z + (1.0 - lambda_cka) * term_c
 
 

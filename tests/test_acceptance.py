@@ -44,12 +44,12 @@ def chosen_te(te_reports):
 def class1_canonicalization(model, dataset, schedule, t_e):
     """Canonicalize the first 100 class-1 samples and decode their latents unprojected."""
     start = time.monotonic()
-    xs, ys = dataset.xs(), dataset.ys()
+    xs, ys = dataset.xs, dataset.ys
     idx = np.flatnonzero(ys == 1)[:100]
     sel_x, sel_y = xs[idx], ys[idx]
     bundles, x_te = canon.canonicalize_batch(sel_x, sel_y, model, schedule, t_e)
     baseline = diffusion.decode_batch(x_te, t_e, sel_y, model, schedule)
-    canonical = np.stack([b.canonical_sample for b in bundles])
+    canonical = bundles.canonical_sample
     return {
         "sel_x": sel_x, "sel_y": sel_y, "bundles": bundles, "x_te": x_te,
         "canonical": canonical, "baseline": baseline,
@@ -73,9 +73,9 @@ def exact_class1_run(dataset, schedule, chosen_te):
 
 @pytest.fixture(scope="module")
 def mixed_quality(trained_model, dataset, schedule, chosen_te):
-    xs, ys = dataset.xs()[:100], dataset.ys()[:100]
+    xs, ys = dataset.xs[:100], dataset.ys[:100]
     bundles, _ = canon.canonicalize_batch(xs, ys, trained_model, schedule, chosen_te)
-    canon_feats = np.stack([b.canonical_feature for b in bundles])
+    canon_feats = bundles.canonical_feature
     t_r = max(1, round(0.1 * schedule.t_max))
     orig_lat = diffusion.invert_batch(xs, t_r, ys, trained_model, schedule)
     orig_feats = trained_model.hidden(orig_lat, t_r, ys, 2)
@@ -175,7 +175,7 @@ def test_criterion_2_guided_decode_contrast(class1_run, trained_model, schedule,
 
 
 def test_criterion_3_inversion_roundtrip(trained_model, dataset, schedule, capsys):
-    xs, ys = dataset.xs()[:100], dataset.ys()[:100]
+    xs, ys = dataset.xs[:100], dataset.ys[:100]
     t_hi = round(0.8 * schedule.t_max)
     latents = diffusion.invert_batch(xs, t_hi, ys, trained_model, schedule)
     back = diffusion.decode_batch(latents, t_hi, ys, trained_model, schedule)
@@ -470,7 +470,7 @@ def test_criterion_6_saturation_curve(te_reports, capsys):
 
 @pytest.fixture(scope="module")
 def clarep_pool(trained_model, dataset, schedule, chosen_te):
-    xs, ys = dataset.xs(), dataset.ys()
+    xs, ys = dataset.xs, dataset.ys
     rng = Rng(0).split("pool-select")
     picked = []
     for c in np.unique(ys):

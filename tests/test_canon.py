@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ def test_find_te_rejects_bad_grid(trained_model, schedule):
 
 @pytest.fixture(scope="module")
 def class1_bundles(trained_model, schedule, dataset):
-    xs, ys = dataset.xs(), dataset.ys()
+    xs, ys = dataset.xs, dataset.ys
     x1 = xs[ys == 1][:100]
     y1 = ys[ys == 1][:100]
     bundles, x_te = canon.canonicalize_batch(x1, y1, trained_model, schedule, t_e=400)
@@ -286,41 +287,42 @@ def test_canonical_distance_not_worse_than_roundtrip(class1_bundles, trained_mod
                                                      schedule):
     x1, y1, bundles, x_te = class1_bundles
     base = decode_batch(x_te, 400, y1, trained_model, schedule)
-    canonical = np.stack([b.canonical_sample for b in bundles])
-    d_canon = np.median(toydata.distance_to_core_segment(canonical, y1))
+    d_canon = np.median(toydata.distance_to_core_segment(bundles.canonical_sample, y1))
     d_base = np.median(toydata.distance_to_core_segment(base, y1))
     assert d_canon <= d_base
 
 
 def test_bundle_fields_and_k(class1_bundles, schedule):
     x1, _, bundles, x_te = class1_bundles
+    n = len(x1)
     assert x_te.shape == x1.shape
-    assert len(bundles) == len(x1)
-    for i, b in enumerate(bundles):
-        assert b.seed_sample_id == i
-        assert b.t_e == 400
-        assert b.cond == 1
-        assert 1 <= b.k <= 2
-        assert b.latent.shape == (2,)
-        assert b.canonical_sample.shape == (2,)
-        assert b.canonical_feature.shape == (80,)
+    assert len(bundles) == n
+    assert np.array_equal(bundles.seed_sample_id, np.arange(n))
+    assert np.all(bundles.t_e == 400)
+    assert np.all(bundles.cond == 1)
+    assert np.all((1 <= bundles.k) & (bundles.k <= 2))
+    for name in ("seed_sample_id", "t_e", "k", "cond"):
+        assert getattr(bundles, name).shape == (n,)
+        assert getattr(bundles, name).dtype == np.int64
+    assert bundles.latent.shape == bundles.canonical_sample.shape == (n, 2)
+    assert bundles.canonical_feature.shape == (n, 80)
+
+
+VECTOR_COLUMNS = ("latent", "canonical_sample", "canonical_feature")
 
 
 def test_canonicalize_deterministic(trained_model, schedule, dataset):
-    x = dataset.xs()[dataset.ys() == 1][:3]
+    x = dataset.xs[dataset.ys == 1][:3]
     y = np.ones(3, dtype=np.int64)
     b1, x_te1 = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
     b2, x_te2 = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
     assert np.array_equal(x_te1, x_te2)
-    for a, b in zip(b1, b2):
-        assert np.array_equal(a.latent, b.latent)
-        assert np.array_equal(a.canonical_sample, b.canonical_sample)
-        assert np.array_equal(a.canonical_feature, b.canonical_feature)
-        assert a.k == b.k
+    for f in dataclasses.fields(canon.Bundles):
+        assert np.array_equal(getattr(b1, f.name), getattr(b2, f.name)), f.name
 
 
 def mixed_batch(dataset):
-    xs, ys = dataset.xs(), dataset.ys()
+    xs, ys = dataset.xs, dataset.ys
     rows = np.concatenate([np.flatnonzero(ys == 0)[:5], np.flatnonzero(ys == 1)[:5]])
     return xs[rows], ys[rows]
 
@@ -330,11 +332,13 @@ def test_canonicalize_batch_equals_per_row_calls(denoiser, trained_model, schedu
     model = trained_model if denoiser == "trained" else toydata.ExactDenoiser(schedule.alpha_bar)
     x, y = mixed_batch(dataset)
     batch, _ = canon.canonicalize_batch(x, y, model, schedule, t_e=600)
-    for i, b in enumerate(batch):
-        (one,), _ = canon.canonicalize_batch(x[i], y[i], model, schedule, t_e=600)
-        assert b.k == one.k == 1
-        for field in ("latent", "canonical_sample", "canonical_feature"):
-            assert np.allclose(getattr(b, field), getattr(one, field), rtol=0, atol=1e-12)
+    assert np.all(batch.k == 1)
+    for i in range(len(x)):
+        one, _ = canon.canonicalize_batch(x[i], y[i], model, schedule, t_e=600)
+        assert len(one) == 1 and one.k[0] == 1
+        for name in VECTOR_COLUMNS:
+            assert np.allclose(getattr(batch, name)[i], getattr(one, name)[0],
+                               rtol=0, atol=1e-12)
 
 
 def test_canonicalize_blocks_do_not_change_the_result(trained_model, schedule, dataset,
@@ -345,10 +349,9 @@ def test_canonicalize_blocks_do_not_change_the_result(trained_model, schedule, d
     whole, _ = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
     monkeypatch.setattr(canon, "_BLOCK_ROWS", 3)
     blocked, _ = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600)
-    for a, b in zip(whole, blocked):
-        assert a.k == b.k
-        for field in ("latent", "canonical_sample", "canonical_feature"):
-            assert np.allclose(getattr(a, field), getattr(b, field), rtol=0, atol=1e-12)
+    assert np.array_equal(whole.k, blocked.k)
+    for name in VECTOR_COLUMNS:
+        assert np.allclose(getattr(whole, name), getattr(blocked, name), rtol=0, atol=1e-12)
 
 
 def test_bundles_jsonl_round_trip(class1_bundles, tmp_path):
@@ -357,12 +360,49 @@ def test_bundles_jsonl_round_trip(class1_bundles, tmp_path):
     canon.save_bundles(bundles, path)
     loaded = canon.load_bundles(path)
     assert len(loaded) == len(bundles)
-    for a, b in zip(bundles, loaded):
-        assert a.seed_sample_id == b.seed_sample_id
-        assert a.t_e == b.t_e and a.k == b.k and a.cond == b.cond
-        assert np.array_equal(a.latent, b.latent)
-        assert np.array_equal(a.canonical_sample, b.canonical_sample)
-        assert np.array_equal(a.canonical_feature, b.canonical_feature)
+    # every column, so that one added later cannot drop out of the file unnoticed
+    for f in dataclasses.fields(canon.Bundles):
+        a, b = getattr(bundles, f.name), getattr(loaded, f.name)
+        assert b.dtype == a.dtype and b.shape == a.shape, f.name
+        assert np.array_equal(a, b), f.name
+
+
+def test_empty_bundle_file_loads_as_zero_rows(tmp_path):
+    path = tmp_path / "bundles.jsonl"
+    path.write_text("")
+    assert len(canon.load_bundles(str(path))) == 0
+
+
+def bundle_lines(bundles, tmp_path):
+    path = tmp_path / "bundles.jsonl"
+    canon.save_bundles(bundles, str(path))
+    return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("damage", ["not json", "not an object", "missing field",
+                                    "fractional k", "null in latent", "NaN in feature"]
+                         + [f"wider {name}" for name in VECTOR_COLUMNS])
+def test_load_bundles_refuses_a_damaged_line(class1_bundles, tmp_path, damage):
+    _, _, bundles, _ = class1_bundles
+    path, records = bundle_lines(bundles, tmp_path)
+    record = records[3]
+    if damage == "not an object":
+        record = [record]
+    elif damage == "missing field":
+        del record["cond"]
+    elif damage == "fractional k":
+        record["k"] = 1.5
+    elif damage == "null in latent":
+        record["latent"][0] = None
+    elif damage == "NaN in feature":
+        record["canonical_feature"][0] = float("nan")
+    elif damage.startswith("wider"):
+        record[damage.split()[1]].append(0.0)
+    lines = [json.dumps(r, sort_keys=True) for r in records]
+    lines[3] = json.dumps(record)[:-1] if damage == "not json" else json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInputError, match="line 4"):
+        canon.load_bundles(str(path))
 
 
 def test_failed_bundle_write_keeps_the_previous_file(class1_bundles, tmp_path):
@@ -370,10 +410,11 @@ def test_failed_bundle_write_keeps_the_previous_file(class1_bundles, tmp_path):
     path = tmp_path / "bundles.jsonl"
     canon.save_bundles(bundles, str(path))
     before = path.read_bytes()
-    # the second record holds what JSON cannot encode, so the write fails on line 2
-    broken = [bundles[0], dataclasses.replace(bundles[1], latent=np.full(2, object()))]
+    # the second row holds what JSON cannot encode, so the write fails on line 2
+    latent = bundles.latent.astype(object)
+    latent[1, 0] = object()
     with pytest.raises(TypeError):
-        canon.save_bundles(broken, str(path))
+        canon.save_bundles(dataclasses.replace(bundles, latent=latent), str(path))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["bundles.jsonl"]
 

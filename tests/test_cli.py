@@ -345,3 +345,48 @@ def test_train_student_folds_a_trailing_one_row_batch(recipe_dir, tmp_path, caps
         rows = list(csv.DictReader(f))
     assert len(rows) == 2
     assert all(np.isfinite(float(r[k])) for r in rows for k in ("cluster", "cka"))
+
+
+@pytest.mark.parametrize("key,value", [("schedule.ddim_eta", 0.0), ("attack.norm", "linf")])
+def test_echo_with_a_deleted_key_is_refused(recipe_dir, tmp_path, capsys, key, value):
+    # an echo written while the key existed still holds it
+    with open(os.path.join(recipe_dir, "resolved_config.clarid.json")) as f:
+        cfg = json.load(f)
+    cfg[key] = value
+    cfg_path = tmp_path / "old_echo.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["clarid", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert "code=CONFIG_ERROR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["train-cdm", "train-student"])
+@pytest.mark.parametrize("damage", ["label 2", "short row"])
+def test_training_refuses_a_damaged_data_file(tmp_path, capsys, stage, damage):
+    assert run("gen-data", str(tmp_path)) == 0
+    path = tmp_path / "toy_data.csv"
+    lines = path.read_text().splitlines()
+    x1, x2, _ = lines[5].split(",")
+    lines[5] = f"{x1},{x2},2" if damage == "label 2" else f"{x1},{x2}"
+    path.write_text("\r\n".join(lines) + "\r\n")
+    assert run(stage, str(tmp_path), "--set", "student.vanilla=true") == 1
+    err = capsys.readouterr().err
+    assert "code=INVALID_INPUT" in err and "line 6" in err
+
+
+@pytest.mark.parametrize("damage", ["not json", "missing field", "id past the data"])
+def test_eval_features_refuses_a_damaged_bundle_file(recipe_dir, tmp_path, capsys, damage):
+    copy_artifacts(recipe_dir, tmp_path, "toy_data.csv", "cdm_checkpoint.json", "bundles.jsonl")
+    path = tmp_path / "bundles.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    if damage == "not json":
+        lines[2] = lines[2][:-1]
+    elif damage == "missing field":
+        del record["seed_sample_id"]
+        lines[2] = json.dumps(record)
+    else:
+        record["seed_sample_id"] = 5000
+        lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    assert run("eval-features", str(tmp_path)) == 1
+    assert "code=INVALID_INPUT" in capsys.readouterr().err

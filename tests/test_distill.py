@@ -6,7 +6,7 @@ import pytest
 import tape_oracle as oracle
 from diffcanon import distill, numerics, toydata
 from diffcanon.autodiff import Tensor
-from diffcanon.canon import CanonicalBundle
+from diffcanon.canon import Bundles
 from diffcanon.errors import ConfigError, InvalidInputError
 from diffcanon.rng import Rng
 
@@ -246,7 +246,7 @@ def value_and_grads(build, arrays):
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = build(*tensors)
     weight = Rng(5).normal(size=out.shape) if out.shape else 1.0
-    (out * Tensor(weight)).sum().backward()
+    oracle.sum_(out * Tensor(weight)).backward()
     return out.data, [t.grad for t in tensors]
 
 
@@ -311,7 +311,7 @@ def test_fused_forward_matches_tape_oracle_with_input_gradient():
             p.grad = None
         x_t = Tensor(x.copy(), requires_grad=True)
         feats, logits = forward(x_t)
-        loss = oracle.cross_entropy(logits, labels) + (feats * Tensor(weight)).sum()
+        loss = oracle.cross_entropy(logits, labels) + oracle.sum_(feats * Tensor(weight))
         loss.backward()
         results.append([feats.data, logits.data, x_t.grad]
                        + [p.grad for p in student.parameters()])
@@ -355,26 +355,34 @@ def test_distill_step_loss_reaches_at_most_32_tape_nodes(tiny_pool):
 # ---------------------------------------------------------------- total loss / pool
 
 
+def pool_of(cond, ids=None, latent=None, sample=None, feature=None):
+    """A pool built from a Bundles record of these rows; vectors default to zeros."""
+    cond = np.asarray(cond, dtype=np.int64)
+    n = len(cond)
+    return distill.ClaRepPool.from_bundles(Bundles(
+        seed_sample_id=np.arange(n) if ids is None else np.asarray(ids, dtype=np.int64),
+        t_e=np.full(n, 400), k=np.ones(n, dtype=np.int64), cond=cond,
+        latent=np.zeros((n, 2)) if latent is None else latent,
+        canonical_sample=np.zeros((n, 2)) if sample is None else sample,
+        canonical_feature=np.zeros((n, 80)) if feature is None else feature))
+
+
 @pytest.fixture(scope="module")
 def tiny_pool():
     rng = Rng(77)
-    bundles = []
+    rows = []
     for i in range(8):
         cls = i % 2
         center = np.array([4.0, 0.0]) if cls else np.array([0.0, 0.0])
-        bundles.append(CanonicalBundle(
-            seed_sample_id=i, t_e=400, k=1,
-            latent=rng.normal(size=2),
-            canonical_sample=center + 0.05 * rng.normal(size=2),
-            canonical_feature=rng.normal(size=80) + 3.0 * cls,
-            cond=cls))
-    return distill.ClaRepPool.from_bundles(bundles)
+        rows.append((rng.normal(size=2), center + 0.05 * rng.normal(size=2),
+                     rng.normal(size=80) + 3.0 * cls))
+    latent, sample, feature = (np.stack(col) for col in zip(*rows))
+    return pool_of(np.arange(8) % 2, latent=latent, sample=sample, feature=feature)
 
 
 def test_pool_groups_by_class(tiny_pool):
     assert set(tiny_pool.by_class) == {0, 1}
     assert all(len(v) == 4 for v in tiny_pool.by_class.values())
-    assert tiny_pool.size() == 8
 
 
 def test_total_loss_reduces_to_cross_entropy(tiny_pool):
@@ -406,10 +414,7 @@ def test_total_loss_recombination_identity(tiny_pool):
 
 
 def test_missing_class_raises_named_config_error():
-    bundles = [CanonicalBundle(seed_sample_id=0, t_e=1, k=1, latent=np.zeros(2),
-                               canonical_sample=np.zeros(2),
-                               canonical_feature=np.zeros(80), cond=0)]
-    pool = distill.ClaRepPool.from_bundles(bundles)
+    pool = pool_of([0])
     with pytest.raises(ConfigError, match="class 1"):
         distill.sample_bundles(pool, np.array([0, 1]), Rng(0))
 
@@ -432,11 +437,8 @@ def test_pool_sampling_uniform_per_class(tiny_pool):
 def test_sample_bundles_matches_one_draw_per_element():
     # unequal class sizes, so each element's bound differs from its neighbour's
     sizes = {0: 3, 1: 7, 2: 1}
-    bundles = [CanonicalBundle(seed_sample_id=10 * c + i, t_e=400, k=1, latent=np.zeros(2),
-                               canonical_sample=np.zeros(2), canonical_feature=np.zeros(80),
-                               cond=c)
-               for c, n in sizes.items() for i in range(n)]
-    pool = distill.ClaRepPool.from_bundles(bundles)
+    cond = [c for c, n in sizes.items() for _ in range(n)]
+    pool = pool_of(cond, ids=[10 * c + i for c, n in sizes.items() for i in range(n)])
     labels = Rng(91).integers(0, 3, size=500)
     fast, slow = Rng(92).split("pool"), Rng(92).split("pool")
     for _ in range(3):
@@ -473,10 +475,7 @@ def test_training_deterministic(tiny_pool):
 
 def test_training_rejects_partial_pool():
     data = toydata.sample_dataset(100, Rng(3).split("data"))
-    only_zero = distill.ClaRepPool.from_bundles([
-        CanonicalBundle(seed_sample_id=0, t_e=1, k=1, latent=np.zeros(2),
-                        canonical_sample=np.zeros(2),
-                        canonical_feature=np.zeros(80), cond=0)])
+    only_zero = pool_of([0])
     with pytest.raises(ConfigError):
         distill.train_student(data, only_zero, distill.DistillConfig(epochs=1), Rng(0))
 
@@ -578,9 +577,6 @@ def test_attack_config_validation(trained_student):
     with pytest.raises(InvalidInputError):
         distill.pgd_attack(trained_student, x, y,
                            distill.AttackConfig(steps=0), Rng(0))
-    with pytest.raises(InvalidInputError):
-        distill.pgd_attack(trained_student, x, y,
-                           distill.AttackConfig(norm="l2"), Rng(0))
 
 
 class BayesStudent:
@@ -592,8 +588,7 @@ class BayesStudent:
 
 def test_bayes_rule_student_is_perfect_on_cores():
     xs = [toydata.toy_point(y, u, np.zeros(2)) for y in (0, 1) for u in (-0.1, 0.0, 0.1)]
-    samples = [toydata.LabeledSample(x, int(i >= 3)) for i, x in enumerate(xs)]
-    data = toydata.ToyDataset(samples=samples)
+    data = toydata.ToyDataset(xs=np.stack(xs), ys=np.array([0, 0, 0, 1, 1, 1]))
     report = distill.evaluate(BayesStudent(), data)
     assert report.clean_accuracy == 1.0
 

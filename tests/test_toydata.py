@@ -30,7 +30,7 @@ def test_noise_free_points_lie_on_segment():
 
 def test_marginals_monte_carlo():
     data = toydata.sample_dataset(10000, Rng(123).split("data"))
-    ys, xs = data.ys(), data.xs()
+    ys, xs = data.ys, data.xs
     frac1 = float(np.mean(ys == 1))
     assert abs(frac1 - 0.5) <= 0.02
     x2 = xs[:, 1]
@@ -83,10 +83,10 @@ def test_failed_csv_write_keeps_the_previous_file(tmp_path):
     toydata.save_csv(data, str(path))
     before = path.read_bytes()
     # the third row cannot be formatted as a number, so the write fails part way
-    broken = toydata.ToyDataset(samples=data.samples[:2]
-                                + [toydata.LabeledSample(x=np.array(["a", "b"]), y=0)])
+    xs = data.xs.astype(object)
+    xs[2] = ["a", "b"]
     with pytest.raises(ValueError):
-        toydata.save_csv(broken, str(path))
+        toydata.save_csv(toydata.ToyDataset(xs=xs, ys=data.ys), str(path))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["toy_data.csv"]
 
@@ -101,7 +101,7 @@ def test_bayes_rule_on_noise_free_cores():
 def test_dataset_deterministic():
     a = toydata.sample_dataset(200, Rng(5))
     b = toydata.sample_dataset(200, Rng(5))
-    assert np.array_equal(a.xs(), b.xs()) and np.array_equal(a.ys(), b.ys())
+    assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
 
 
 def test_csv_round_trip_stable(tmp_path):
@@ -109,10 +109,26 @@ def test_csv_round_trip_stable(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     toydata.save_csv(data, str(p1))
     loaded = toydata.load_csv(str(p1))
-    assert np.array_equal(loaded.ys(), data.ys())
-    assert np.allclose(loaded.xs(), data.xs(), atol=5e-7)
+    assert np.array_equal(loaded.ys, data.ys)
+    assert np.allclose(loaded.xs, data.xs, atol=5e-7)
     toydata.save_csv(loaded, str(p2))  # quantized data re-saves byte-identically
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_dataset_columns():
+    data = toydata.sample_dataset(7, Rng(6))
+    assert data.xs.shape == (7, 2) and data.xs.dtype == np.float64
+    assert data.ys.shape == (7,) and data.ys.dtype == np.int64
+    assert len(data) == 7
+
+
+@pytest.mark.parametrize("row", ["1.0,2.0", "1.0,2.0,1,7", "1.0,abc,1", "nan,0.5,0",
+                                 "1.0,inf,1", "4.0,0.0,2", "4.0,0.0,-1", "4.0,0.0,x"])
+def test_load_csv_refuses_a_bad_row_by_line(tmp_path, row):
+    path = tmp_path / "toy_data.csv"
+    path.write_text(f"x1,x2,label\n0.0,0.0,0\n{row}\n4.0,0.0,1\n")
+    with pytest.raises(InvalidInputError, match="line 3"):
+        toydata.load_csv(str(path))
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -135,7 +151,7 @@ def test_distance_nonnegative_and_zero_only_near_segment(seed):
 @pytest.fixture(scope="module")
 def prior_draws():
     data = toydata.sample_dataset(200_000, Rng(71).split("prior"))
-    return data.xs(), data.ys()
+    return data.xs, data.ys
 
 
 @pytest.mark.parametrize("t", [10, 100, 400])
@@ -148,10 +164,10 @@ def test_exact_posterior_matches_importance_weighted_monte_carlo(schedule, prior
     a = schedule.alpha_bar[t]
     points = toydata.sample_dataset(40, Rng(t).split("points"))
     noise = Rng(t).split("noise").normal((40, 2))
-    x_t_all = np.sqrt(a) * points.xs() + np.sqrt(1 - a) * noise
+    x_t_all = np.sqrt(a) * points.xs + np.sqrt(1 - a) * noise
     for y in (0, 1, None):
         x0 = x0_all if y is None else x0_all[y_all == y]
-        x_t = (x_t_all if y is None else x_t_all[points.ys() == y])[:4]
+        x_t = (x_t_all if y is None else x_t_all[points.ys == y])[:4]
         got = toydata.exact_posterior_eps(x_t, a, y)
         for i, xt in enumerate(x_t):
             eps_i = (xt - np.sqrt(a) * x0) / np.sqrt(1 - a)

@@ -190,10 +190,9 @@ class Adam(_FlatOptimizer):
     """Standard bias-corrected Adam over a list of parameter Tensors."""
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+                 beta2: float = 0.999, eps: float = 1e-8):
         super().__init__(params)
-        self.lr, self.beta1, self.beta2 = lr, beta1, beta2
-        self.eps, self.weight_decay = eps, weight_decay
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.t = 0
@@ -202,8 +201,6 @@ class Adam(_FlatOptimizer):
         self.t += 1
         for sl in self._gather():
             p, g, m, v = self.flat[sl], self.grad[sl], self.m[sl], self.v[sl]
-            if self.weight_decay:
-                g += self.weight_decay * p
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

@@ -51,19 +51,6 @@ _ID_COLUMNS = ("seed_sample_id", "t_e", "k", "cond")
 
 
 @dataclass
-class CanonicalBundle:
-    """One row of a Bundles record, as a distillation pool entry holds it."""
-
-    seed_sample_id: int
-    t_e: int
-    k: int
-    latent: np.ndarray
-    canonical_sample: np.ndarray
-    canonical_feature: np.ndarray
-    cond: int
-
-
-@dataclass
 class TeSearchReport:
     grid: list[int]
     accuracies: list[float]
@@ -123,6 +110,12 @@ def project_out(x_te, basis: ExtraneousBasis, k) -> np.ndarray:
     return x_te - np.einsum("...in,...n->...i", vk, np.einsum("...in,...i->...n", vk, x_te))
 
 
+def read_features(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser, sched: NoiseSchedule,
+                  t_r: int, layer: int) -> np.ndarray:
+    """Hidden features of samples under their labels: invert to t_r, read the layer."""
+    return model.hidden(invert_batch(xs, t_r, ys, model, sched), t_r, ys, layer)
+
+
 # Rows per Jacobian/SVD/projection block: feature_jvp keeps about seven (rows, 80)
 # temporaries alive, which on 2000 rows at once added 3 MB to clarid's peak RSS.
 _BLOCK_ROWS = 256
@@ -154,8 +147,7 @@ def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
         ks[rows] = select_k(evr_sequence(basis))
         latents[rows] = project_out(x_te[rows], basis, ks[rows])
     samples = decode_batch(latents, t_e, ys, model, sched, cfg_scale)
-    feat_latents = invert_batch(samples, t_r, ys, model, sched)
-    feats = model.hidden(feat_latents, t_r, ys, layer)
+    feats = read_features(samples, ys, model, sched, t_r, layer)
     n = len(xs)
     return Bundles(seed_sample_id=np.arange(n), t_e=np.full(n, t_e, dtype=np.int64), k=ks,
                    cond=ys.copy(), latent=latents, canonical_sample=samples,

@@ -102,8 +102,7 @@ def cmd_train_cdm(cfg: dict, out: str) -> None:
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
     sched = _schedule(cfg)
     tc = diffusion.TrainConfig(epochs=cfg["cdm.epochs"], batch_size=cfg["cdm.batch_size"],
-                               lr=cfg["cdm.lr"], label_drop=cfg["cdm.label_drop"],
-                               weight_decay=cfg["cdm.weight_decay"])
+                               lr=cfg["cdm.lr"], label_drop=cfg["cdm.label_drop"])
     model, losses = diffusion.train_cdm(dataset, sched, tc, Rng(cfg["seed"]).split("cdm"))
     diffusion.save_checkpoint(model, os.path.join(out, CDM_CKPT))
     _write_csv(os.path.join(out, CDM_LOSS), ["epoch", "loss"],
@@ -157,11 +156,8 @@ def cmd_eval_features(cfg: dict, out: str) -> None:
     if np.any((ids < 0) | (ids >= len(dataset))):
         raise InvalidInputError(f"{path} names samples outside the {len(dataset)} dataset rows")
     sched = _schedule(cfg)
-    t_r = cfg["clarid.t_r"]
-    layer = cfg["clarid.layer"]
-    orig_x = dataset.xs[ids]
-    orig_latents = diffusion.invert_batch(orig_x, t_r, labels, model, sched)
-    orig_feats = model.hidden(orig_latents, t_r, labels, layer)
+    orig_feats = canon.read_features(dataset.xs[ids], labels, model, sched,
+                                     cfg["clarid.t_r"], cfg["clarid.layer"])
     k = len(np.unique(labels))
     rng = Rng(cfg["seed"])
     payload = {}
@@ -181,14 +177,7 @@ def cmd_build_pool(cfg: dict, out: str) -> None:
     sched = _schedule(cfg)
     t_e = _chosen_te(cfg, out)
     xs, ys = dataset.xs, dataset.ys
-    rng = Rng(cfg["seed"]).split("pool-select")
-    picked = []
-    for c in np.unique(ys):
-        members = np.flatnonzero(ys == c)
-        count = max(1, round(cfg["pool.fraction"] * len(members)))
-        order = rng.permutation(len(members))
-        picked.extend(members[order[:count]].tolist())
-    picked = sorted(picked)
+    picked = distill.pool_rows(ys, cfg["pool.fraction"], Rng(cfg["seed"]).split("pool-select"))
     _canonicalize(cfg, model, sched, t_e, xs, ys, picked, os.path.join(out, POOL_FILE))
 
 
@@ -197,8 +186,7 @@ def cmd_train_student(cfg: dict, out: str) -> None:
     vanilla = cfg["student.vanilla"]
     pool = None
     if not vanilla:
-        pool = distill.ClaRepPool.from_bundles(
-            canon.load_bundles(_require(os.path.join(out, POOL_FILE), "pool file")))
+        pool = canon.load_bundles(_require(os.path.join(out, POOL_FILE), "pool file"))
     dc = distill.DistillConfig(
         tau=cfg["student.tau"], lambda_cs=cfg["student.lambda_cs"],
         lambda_cf=cfg["student.lambda_cf"], lambda_dist=cfg["student.lambda_dist"],

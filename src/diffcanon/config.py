@@ -27,7 +27,6 @@ DEFAULTS: dict[str, object] = {
     "cdm.batch_size": 128,
     "cdm.lr": 1e-3,
     "cdm.label_drop": 0.1,
-    "cdm.weight_decay": 0.0,
     "te.m": 200,
     "te.tol": 0.02,
     "te.grid_fractions": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",

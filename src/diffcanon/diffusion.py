@@ -309,10 +309,6 @@ class TrainConfig:
     batch_size: int = 128
     lr: float = 1e-3
     label_drop: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
 
 
 def q_sample(x0, t: int, eps, sched: NoiseSchedule):
@@ -342,8 +338,7 @@ def train_cdm(data: ToyDataset, sched: NoiseSchedule, cfg: TrainConfig, rng: Rng
         raise InvalidInputError("empty dataset")
     model = CondDenoiser(rng.split("init"))
     params = model.parameters()
-    opt = ad.Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                  eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
+    opt = ad.Adam(params, lr=cfg.lr)
     train_rng = rng.split("train")
     xs, ys = data.xs, data.ys
     n = len(data)

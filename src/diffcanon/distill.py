@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .canon import Bundles, CanonicalBundle
+from .canon import Bundles
 from .errors import (ConfigError, DegenerateInputError, InvalidInputError,
                      TrainingDivergedError)
 from .rng import Rng
@@ -77,28 +77,6 @@ class StudentClassifier:
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.logits(x), axis=1)
-
-
-@dataclass
-class ClaRepPool:
-    by_class: dict[int, list[CanonicalBundle]]
-
-    @classmethod
-    def from_bundles(cls, bundles: Bundles) -> "ClaRepPool":
-        """One entry per row of the record, built once, grouped by class.
-
-        The entries are persistent objects, so the same row always comes
-        back from sample_bundles as the same object.
-        """
-        by_class: dict[int, list[CanonicalBundle]] = {}
-        rows = zip(bundles.seed_sample_id.tolist(), bundles.t_e.tolist(), bundles.k.tolist(),
-                   bundles.cond.tolist(), bundles.latent, bundles.canonical_sample,
-                   bundles.canonical_feature)
-        for sid, t_e, k, cond, latent, sample, feature in rows:
-            by_class.setdefault(cond, []).append(CanonicalBundle(
-                seed_sample_id=sid, t_e=t_e, k=k, latent=latent, canonical_sample=sample,
-                canonical_feature=feature, cond=cond))
-        return cls(by_class=by_class)
 
 
 @dataclass
@@ -271,30 +249,49 @@ def cka_distill_loss(z: Tensor, z_canon: Tensor, teacher_feats: np.ndarray,
     return ad.fused(value, (z, z_canon), grads)
 
 
-def sample_bundles(pool: ClaRepPool, labels, rng: Rng) -> list[CanonicalBundle]:
-    """Uniformly pick one same-class pool entry per batch element.
+def pool_rows(ys: np.ndarray, fraction: float, rng: Rng) -> list[int]:
+    """Dataset rows of a CLARep pool, sorted.
+
+    Each class contributes max(1, round(fraction * its size)) members, the
+    first of one random permutation of them.
+    """
+    picked = []
+    for c in np.unique(ys):
+        members = np.flatnonzero(ys == c)
+        count = max(1, round(fraction * len(members)))
+        order = rng.permutation(len(members))
+        picked.extend(members[order[:count]].tolist())
+    return sorted(picked)
+
+
+def sample_bundles(pool: Bundles, labels, rng: Rng) -> list[int]:
+    """Uniformly pick one same-class pool row per batch element; return the row indices.
 
     All picks come from one bounded-integer draw whose per-element upper
     bounds are the class sizes, which consumes the stream exactly as one
-    draw per element would.
+    draw per element would. The indices stay a list of Python ints taken
+    from per-class lists: a row drawn twice is one object, so counting
+    distinct objects counts rows, which an array's scalars would not.
     """
     labels = np.asarray(labels, dtype=np.int64)
     classes, which = np.unique(labels, return_inverse=True)
-    entries = []
+    members = []
     for y in classes.tolist():
-        if not pool.by_class.get(y):
+        rows = np.flatnonzero(pool.cond == y).tolist()
+        if not rows:
             raise ConfigError(f"pool has no entries for class {y}")
-        entries.append(pool.by_class[y])
-    counts = np.array([len(e) for e in entries], dtype=np.int64)
+        members.append(rows)
+    counts = np.array([len(m) for m in members], dtype=np.int64)
     picks = rng.integers(0, counts[which])
-    return [entries[c][k] for c, k in zip(which.tolist(), picks.tolist())]
+    return [members[c][k] for c, k in zip(which.tolist(), picks.tolist())]
 
 
-def total_loss(x: np.ndarray, labels: np.ndarray, bundles: list[CanonicalBundle] | None,
-               student: StudentClassifier, cfg: DistillConfig):
+def total_loss(x: np.ndarray, labels: np.ndarray, canon_x: np.ndarray | None,
+               teacher: np.ndarray | None, student: StudentClassifier, cfg: DistillConfig):
     """Full objective and its component values.
 
-    With no bundles this is plain cross-entropy; otherwise
+    With canon_x None this is plain cross-entropy; otherwise, with canon_x
+    and teacher the canonical samples and features paired with the batch,
     cls + lambda_cs (lambda_cf align + (1 - lambda_cf) cluster)
     + lambda_dist cka. Returns (total Tensor, components dict).
     """
@@ -303,10 +300,8 @@ def total_loss(x: np.ndarray, labels: np.ndarray, bundles: list[CanonicalBundle]
     x_t = Tensor(np.atleast_2d(x))
     feats, logits = student.forward_graph(x_t)
     cls = cross_entropy(logits, labels)
-    if bundles is None:
+    if canon_x is None:
         return cls, {"cls": cls.item(), "align": 0.0, "cluster": 0.0, "cka": 0.0}
-    canon_x = np.stack([b.canonical_sample for b in bundles])
-    teacher = np.stack([b.canonical_feature for b in bundles])
     canon_feats, _ = student.forward_graph(Tensor(canon_x))
     zn = l2_normalize(feats)
     cn = l2_normalize(canon_feats)
@@ -320,16 +315,16 @@ def total_loss(x: np.ndarray, labels: np.ndarray, bundles: list[CanonicalBundle]
                    "cluster": l_cluster.item(), "cka": l_cka.item()}
 
 
-def train_student(data: ToyDataset, pool: ClaRepPool | None, cfg: DistillConfig,
+def train_student(data: ToyDataset, pool: Bundles | None, cfg: DistillConfig,
                   rng: Rng):
     """Train a student; pool = None gives the plain cross-entropy baseline.
 
     Returns (student, per-epoch component log).
     """
     if pool is not None:
-        for y in np.unique(data.ys):
-            if int(y) not in pool.by_class or not pool.by_class[int(y)]:
-                raise ConfigError(f"pool has no entries for class {int(y)}")
+        missing = np.setdiff1d(data.ys, pool.cond)
+        if len(missing):
+            raise ConfigError(f"pool has no entries for class {missing[0]}")
     student = StudentClassifier(rng.split("init"))
     if cfg.optimizer == "adam":
         opt = ad.Adam(student.parameters(), lr=cfg.lr)
@@ -351,8 +346,11 @@ def train_student(data: ToyDataset, pool: ClaRepPool | None, cfg: DistillConfig,
         sums = {"total": 0.0, "cls": 0.0, "align": 0.0, "cluster": 0.0, "cka": 0.0}
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             idx = order[lo:hi]
-            bundles = sample_bundles(pool, ys[idx], pool_rng) if pool is not None else None
-            loss, comps = total_loss(xs[idx], ys[idx], bundles, student, cfg)
+            canon_x = teacher = None
+            if pool is not None:
+                rows = sample_bundles(pool, ys[idx], pool_rng)
+                canon_x, teacher = pool.canonical_sample[rows], pool.canonical_feature[rows]
+            loss, comps = total_loss(xs[idx], ys[idx], canon_x, teacher, student, cfg)
             if not np.isfinite(loss.item()):
                 raise TrainingDivergedError(epoch)
             opt.zero_grad()

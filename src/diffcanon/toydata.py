@@ -35,11 +35,11 @@ class ToyDataset:
         return len(self.ys)
 
 
-def toy_point(y: int, u: float, eps: np.ndarray) -> np.ndarray:
-    """Apply the generative equations to explicit latent draws."""
+def toy_point(y, u, eps) -> np.ndarray:
+    """Apply the generative equations to explicit latent draws, eps of shape (..., 2)."""
     eps = np.asarray(eps, dtype=np.float64)
-    x1 = u + CLASS_SHIFT * y + eps[0] + SKEW_GAIN * abs(eps[1])
-    return np.array([x1, eps[1]])
+    x1 = u + CLASS_SHIFT * y + eps[..., 0] + SKEW_GAIN * np.abs(eps[..., 1])
+    return np.stack((x1, eps[..., 1]), axis=-1)
 
 
 def sample_dataset(n: int, rng: Rng) -> ToyDataset:
@@ -49,8 +49,7 @@ def sample_dataset(n: int, rng: Rng) -> ToyDataset:
     y = rng.integers(0, 2, size=n)
     u = rng.uniform(-CORE_HALF_WIDTH, CORE_HALF_WIDTH, size=n)
     eps = NOISE_STD * rng.normal((n, 2))
-    x1 = u + CLASS_SHIFT * y + eps[:, 0] + SKEW_GAIN * np.abs(eps[:, 1])
-    return ToyDataset(xs=np.column_stack((x1, eps[:, 1])), ys=y.astype(np.int64))
+    return ToyDataset(xs=toy_point(y, u, eps), ys=y.astype(np.int64))
 
 
 def distance_to_core_segment(x, y):

@@ -216,14 +216,12 @@ def cka_distill_loss(z: Tensor, z_canon: Tensor, teacher_feats: np.ndarray,
     return lambda_cka * term_z + (1.0 - lambda_cka) * term_c
 
 
-def total_loss(x, labels, bundles, student, cfg) -> Tensor:
+def total_loss(x, labels, canon_x, teacher, student, cfg) -> Tensor:
     """`distill.total_loss` built from the per-op graphs above."""
     feats, logits = forward_graph(student, Tensor(np.atleast_2d(x)))
     cls = cross_entropy(logits, labels)
-    if bundles is None:
+    if canon_x is None:
         return cls
-    canon_x = np.stack([b.canonical_sample for b in bundles])
-    teacher = np.stack([b.canonical_feature for b in bundles])
     canon_feats, _ = forward_graph(student, Tensor(canon_x))
     zn = l2_normalize(feats)
     cn = l2_normalize(canon_feats)

@@ -379,14 +379,15 @@ def test_criterion_5_numerical_checks(schedule, capsys):
 
     student = distill.StudentClassifier(Rng(56))
     xs = rng.normal(size=(6, 2))
-    bundles = [canon.CanonicalBundle(
-        seed_sample_id=i, t_e=1, k=1, latent=np.zeros(2),
-        canonical_sample=rng.normal(size=2),
-        canonical_feature=rng.normal(size=80), cond=int(labels[i]))
-        for i in range(6)]
+    canon_x = np.empty((6, 2))
+    teacher = np.empty((6, 80))
+    for i in range(6):
+        canon_x[i] = rng.normal(size=2)
+        teacher[i] = rng.normal(size=80)
 
     def combined_loss():
-        loss, _ = distill.total_loss(xs, labels, bundles, student, distill.DistillConfig())
+        loss, _ = distill.total_loss(xs, labels, canon_x, teacher, student,
+                                     distill.DistillConfig())
         return loss
 
     worst_grad = max(worst_grad, fd_on_param(combined_loss, student.W1))
@@ -471,17 +472,9 @@ def test_criterion_6_saturation_curve(te_reports, capsys):
 @pytest.fixture(scope="module")
 def clarep_pool(trained_model, dataset, schedule, chosen_te):
     xs, ys = dataset.xs, dataset.ys
-    rng = Rng(0).split("pool-select")
-    picked = []
-    for c in np.unique(ys):
-        members = np.flatnonzero(ys == c)
-        count = max(1, round(0.1 * len(members)))
-        order = rng.permutation(len(members))
-        picked.extend(members[order[:count]].tolist())
-    picked = sorted(picked)
-    bundles, _ = canon.canonicalize_batch(xs[picked], ys[picked], trained_model,
-                                          schedule, chosen_te)
-    return distill.ClaRepPool.from_bundles(bundles)
+    picked = distill.pool_rows(ys, 0.1, Rng(0).split("pool-select"))
+    return canon.canonicalize_batch(xs[picked], ys[picked], trained_model, schedule,
+                                    chosen_te)[0]
 
 
 def test_criterion_7_distilled_robustness(dataset, clarep_pool, capsys):

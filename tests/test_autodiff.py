@@ -192,13 +192,11 @@ def test_mse_node_matches_per_op_graph_bitwise():
 # ---------------------------------------------------------------- flat optimizer state
 
 
-def reference_adam(params, grads, state, t, lr, b1, b2, eps, wd):
+def reference_adam(params, grads, state, t, lr, b1, b2, eps):
     """Per-parameter Adam step, the loop the flat update replaces."""
     for p, g, (m, v) in zip(params, grads, state):
         if g is None:
             continue
-        if wd:
-            g = g + wd * p
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -224,7 +222,7 @@ def test_flat_optimizers_match_per_parameter_reference(kind):
     tensors = [ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
     ref = [t.data.copy() for t in tensors]
     if kind == "adam":
-        opt = ad.Adam(tensors, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6, weight_decay=0.05)
+        opt = ad.Adam(tensors, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
         state = [(np.zeros(s), np.zeros(s)) for s in shapes]
     else:
         opt = ad.SgdMomentum(tensors, lr=0.01, momentum=0.9)
@@ -238,7 +236,7 @@ def test_flat_optimizers_match_per_parameter_reference(kind):
             t.grad = None if g is None else g.copy()
         opt.step()
         if kind == "adam":
-            reference_adam(ref, grads, state, step, 0.01, 0.8, 0.99, 1e-6, 0.05)
+            reference_adam(ref, grads, state, step, 0.01, 0.8, 0.99, 1e-6)
         else:
             reference_sgd(ref, grads, bufs, 0.01, 0.9)
         for t, r in zip(tensors, ref):

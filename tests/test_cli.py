@@ -347,7 +347,8 @@ def test_train_student_folds_a_trailing_one_row_batch(recipe_dir, tmp_path, caps
     assert all(np.isfinite(float(r[k])) for r in rows for k in ("cluster", "cka"))
 
 
-@pytest.mark.parametrize("key,value", [("schedule.ddim_eta", 0.0), ("attack.norm", "linf")])
+@pytest.mark.parametrize("key,value", [("schedule.ddim_eta", 0.0), ("attack.norm", "linf"),
+                                       ("cdm.weight_decay", 0.0)])
 def test_echo_with_a_deleted_key_is_refused(recipe_dir, tmp_path, capsys, key, value):
     # an echo written while the key existed still holds it
     with open(os.path.join(recipe_dir, "resolved_config.clarid.json")) as f:

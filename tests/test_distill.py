@@ -209,18 +209,18 @@ def test_total_loss_gradient_finite_difference(tiny_pool):
     labels = rng.integers(0, 2, size=6)
     cfg = distill.DistillConfig()
     student = distill.StudentClassifier(Rng(1))
-    bundles = distill.sample_bundles(tiny_pool, labels, rng)
+    canon = canon_rows(tiny_pool, labels, rng)
 
     w1 = student.W1
     w0 = w1.data.copy()
 
     def f(vals):
         w1.data[...] = vals
-        loss, _ = distill.total_loss(xs, labels, bundles, student, cfg)
+        loss, _ = distill.total_loss(xs, labels, *canon, student, cfg)
         w1.data[...] = w0
         return loss.item()
 
-    loss, _ = distill.total_loss(xs, labels, bundles, student, cfg)
+    loss, _ = distill.total_loss(xs, labels, *canon, student, cfg)
     for p in student.parameters():
         p.grad = None
     loss.backward()
@@ -325,10 +325,10 @@ def test_fused_total_loss_matches_tape_oracle(tiny_pool):
     labels = rng.integers(0, 2, size=10)
     cfg = distill.DistillConfig(lambda_cs=0.7, lambda_cf=0.3, lambda_dist=2.0, lambda_cka=0.6)
     student = distill.StudentClassifier(Rng(76))
-    bundles = distill.sample_bundles(tiny_pool, labels, rng)
+    canon = canon_rows(tiny_pool, labels, rng)
     results = []
-    for build in (lambda: distill.total_loss(xs, labels, bundles, student, cfg)[0],
-                  lambda: oracle.total_loss(xs, labels, bundles, student, cfg)):
+    for build in (lambda: distill.total_loss(xs, labels, *canon, student, cfg)[0],
+                  lambda: oracle.total_loss(xs, labels, *canon, student, cfg)):
         for p in student.parameters():
             p.grad = None
         loss = build()
@@ -345,26 +345,31 @@ def test_distill_step_loss_reaches_at_most_32_tape_nodes(tiny_pool):
     xs = rng.normal(size=(128, 2))
     labels = rng.integers(0, 2, size=128)
     student = distill.StudentClassifier(Rng(78))
-    bundles = distill.sample_bundles(tiny_pool, labels, rng)
-    loss, _ = distill.total_loss(xs, labels, bundles, student, distill.DistillConfig())
+    canon = canon_rows(tiny_pool, labels, rng)
+    loss, _ = distill.total_loss(xs, labels, *canon, student, distill.DistillConfig())
     assert oracle.reachable_nodes(loss) <= 32
-    plain, _ = distill.total_loss(xs, labels, None, student, distill.DistillConfig())
+    plain, _ = distill.total_loss(xs, labels, None, None, student, distill.DistillConfig())
     assert oracle.reachable_nodes(plain) <= 11
 
 
 # ---------------------------------------------------------------- total loss / pool
 
 
-def pool_of(cond, ids=None, latent=None, sample=None, feature=None):
-    """A pool built from a Bundles record of these rows; vectors default to zeros."""
+def pool_of(cond, latent=None, sample=None, feature=None):
+    """A pool record of rows with these classes; vectors default to zeros."""
     cond = np.asarray(cond, dtype=np.int64)
     n = len(cond)
-    return distill.ClaRepPool.from_bundles(Bundles(
-        seed_sample_id=np.arange(n) if ids is None else np.asarray(ids, dtype=np.int64),
-        t_e=np.full(n, 400), k=np.ones(n, dtype=np.int64), cond=cond,
-        latent=np.zeros((n, 2)) if latent is None else latent,
+    return Bundles(
+        seed_sample_id=np.arange(n), t_e=np.full(n, 400), k=np.ones(n, dtype=np.int64),
+        cond=cond, latent=np.zeros((n, 2)) if latent is None else latent,
         canonical_sample=np.zeros((n, 2)) if sample is None else sample,
-        canonical_feature=np.zeros((n, 80)) if feature is None else feature))
+        canonical_feature=np.zeros((n, 80)) if feature is None else feature)
+
+
+def canon_rows(pool, labels, rng):
+    """The canonical samples and features of one same-class pool draw per label."""
+    rows = distill.sample_bundles(pool, labels, rng)
+    return pool.canonical_sample[rows], pool.canonical_feature[rows]
 
 
 @pytest.fixture(scope="module")
@@ -380,9 +385,8 @@ def tiny_pool():
     return pool_of(np.arange(8) % 2, latent=latent, sample=sample, feature=feature)
 
 
-def test_pool_groups_by_class(tiny_pool):
-    assert set(tiny_pool.by_class) == {0, 1}
-    assert all(len(v) == 4 for v in tiny_pool.by_class.values())
+def test_pool_rows_per_class(tiny_pool):
+    assert np.bincount(tiny_pool.cond).tolist() == [4, 4]
 
 
 def test_total_loss_reduces_to_cross_entropy(tiny_pool):
@@ -391,9 +395,9 @@ def test_total_loss_reduces_to_cross_entropy(tiny_pool):
     labels = rng.integers(0, 2, size=8)
     student = distill.StudentClassifier(Rng(2))
     cfg = distill.DistillConfig(lambda_cs=0.0, lambda_dist=0.0)
-    bundles = distill.sample_bundles(tiny_pool, labels, rng)
-    with_terms, comps = distill.total_loss(xs, labels, bundles, student, cfg)
-    plain, _ = distill.total_loss(xs, labels, None, student, cfg)
+    canon = canon_rows(tiny_pool, labels, rng)
+    with_terms, comps = distill.total_loss(xs, labels, *canon, student, cfg)
+    plain, _ = distill.total_loss(xs, labels, None, None, student, cfg)
     assert with_terms.item() == pytest.approx(plain.item(), abs=1e-12)
     assert with_terms.item() == pytest.approx(comps["cls"], abs=1e-12)
 
@@ -405,8 +409,8 @@ def test_total_loss_recombination_identity(tiny_pool):
     student = distill.StudentClassifier(Rng(3))
     cfg = distill.DistillConfig(lambda_cs=0.7, lambda_cf=0.3, lambda_dist=2.0,
                                 lambda_cka=0.6)
-    bundles = distill.sample_bundles(tiny_pool, labels, rng)
-    total, c = distill.total_loss(xs, labels, bundles, student, cfg)
+    canon = canon_rows(tiny_pool, labels, rng)
+    total, c = distill.total_loss(xs, labels, *canon, student, cfg)
     manual = (c["cls"] + cfg.lambda_cs * (cfg.lambda_cf * c["align"] +
                                           (1 - cfg.lambda_cf) * c["cluster"])
               + cfg.lambda_dist * c["cka"])
@@ -422,31 +426,31 @@ def test_missing_class_raises_named_config_error():
 def test_pool_sampling_uniform_per_class(tiny_pool):
     rng = Rng(90)
     labels = np.ones(100, dtype=np.int64)
-    counts = {b.seed_sample_id: 0 for b in tiny_pool.by_class[1]}
+    counts = {row: 0 for row in np.flatnonzero(tiny_pool.cond == 1).tolist()}
     draws = 1000
     for _ in range(draws):
-        for b in distill.sample_bundles(tiny_pool, labels, rng):
-            counts[b.seed_sample_id] += 1
+        for row in distill.sample_bundles(tiny_pool, labels, rng):
+            counts[row] += 1
     n = draws * 100
     p = 1.0 / len(counts)
     sigma = math.sqrt(p * (1 - p) / n)
-    for sid, c in counts.items():
-        assert abs(c / n - p) <= 3 * sigma + 1e-9, f"entry {sid} drawn non-uniformly"
+    for row, c in counts.items():
+        assert abs(c / n - p) <= 3 * sigma + 1e-9, f"row {row} drawn non-uniformly"
 
 
 def test_sample_bundles_matches_one_draw_per_element():
-    # unequal class sizes, so each element's bound differs from its neighbour's
-    sizes = {0: 3, 1: 7, 2: 1}
-    cond = [c for c, n in sizes.items() for _ in range(n)]
-    pool = pool_of(cond, ids=[10 * c + i for c, n in sizes.items() for i in range(n)])
+    # unequal class sizes, so each element's bound differs from its neighbour's, and
+    # classes interleaved, so a class's k-th member is not row k
+    cond = [1, 0, 1, 1, 2, 0, 1, 1, 0, 1, 1]
+    pool = pool_of(cond)
+    members = {c: [i for i, ci in enumerate(cond) if ci == c] for c in (0, 1, 2)}
     labels = Rng(91).integers(0, 3, size=500)
     fast, slow = Rng(92).split("pool"), Rng(92).split("pool")
     for _ in range(3):
         got = distill.sample_bundles(pool, labels, fast)
-        want = [pool.by_class[int(y)][int(slow.integers(0, len(pool.by_class[int(y)])))]
-                for y in labels]
-        assert [b.seed_sample_id for b in got] == [b.seed_sample_id for b in want]
-        assert all(g is w for g, w in zip(got, want))
+        want = [members[int(y)][int(slow.integers(0, len(members[int(y)])))] for y in labels]
+        assert got == want
+        assert all(type(row) is int for row in got)
     assert repr(fast._gen.bit_generator.state) == repr(slow._gen.bit_generator.state)
     assert fast.integers(0, 2**40) == slow.integers(0, 2**40)
 

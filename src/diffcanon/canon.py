@@ -162,6 +162,10 @@ def saturation_choice(grid: list[int], accuracies: list[float], tol: float) -> i
     return max(t for t, a in zip(grid, accuracies) if a >= best - tol)
 
 
+# Rows per stacked find_te decode, the size of canon-extract's clarid trajectory.
+_TE_ROWS = 2000
+
+
 def find_te(model: CondDenoiser, sched: NoiseSchedule, classifier_rule: Callable,
             grid: list[int], m: int, rng: Rng, tol: float = 0.02) -> TeSearchReport:
     """Pick the projection timestep from the two-stage accuracy curve.
@@ -169,7 +173,9 @@ def find_te(model: CondDenoiser, sched: NoiseSchedule, classifier_rule: Callable
     For each candidate, m samples per class are drawn with the
     condition switched on at that timestep and scored by the classifier
     rule; the chosen value is the largest candidate whose accuracy is
-    within tol of the curve maximum.
+    within tol of the curve maximum. The (candidate, class) blocks of m
+    rows are decoded stacked, up to _TE_ROWS rows per decode, each block
+    from its own rng.split(f"te-{t_e}-c{c}") draw.
     """
     if len(grid) == 0:
         raise InvalidInputError("empty candidate grid")
@@ -177,13 +183,17 @@ def find_te(model: CondDenoiser, sched: NoiseSchedule, classifier_rule: Callable
         raise InvalidInputError("candidate grid must be sorted ascending")
     if m < 1:
         raise InvalidInputError("m must be >= 1")
-    accuracies = []
-    for t_e in grid:
-        correct = 0
-        for c in range(model.n_classes):
-            xs = two_stage_batch(m, t_e, c, model, sched, rng.split(f"te-{t_e}-c{c}"))
-            correct += int(np.sum(np.asarray(classifier_rule(xs)) == c))
-        accuracies.append(correct / (m * model.n_classes))
+    blocks = [(i, c) for i in range(len(grid)) for c in range(model.n_classes)]
+    x_T = [rng.split(f"te-{grid[i]}-c{c}").normal((m, 2)) for i, c in blocks]
+    correct = np.zeros(len(grid), dtype=np.int64)
+    per_decode = max(1, _TE_ROWS // m)
+    for lo in range(0, len(blocks), per_decode):
+        group = np.array(blocks[lo:lo + per_decode])
+        t_es, cs = np.repeat(np.asarray(grid)[group[:, 0]], m), np.repeat(group[:, 1], m)
+        xs = two_stage_batch(np.concatenate(x_T[lo:lo + per_decode]), t_es, cs, model, sched)
+        np.add.at(correct, group[:, 0],
+                  (np.asarray(classifier_rule(xs)) == cs).reshape(-1, m).sum(axis=1))
+    accuracies = (correct / (m * model.n_classes)).tolist()
     chosen = saturation_choice(grid, accuracies, tol)
     return TeSearchReport(grid=list(grid), accuracies=accuracies, chosen=chosen, tol=tol)
 

@@ -14,12 +14,16 @@ of [0, T].
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import pickle
+import signal
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import _BLAS_VARS
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InvalidInputError, TrainingDivergedError
@@ -76,24 +80,24 @@ def _silu_deriv(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     return s * (1.0 + a * (1.0 - s))
 
 
-# eps and hidden split a batch of PARALLEL_ROWS rows or more by rows over
-# _WORKERS threads (CondDenoiser._forward). With one BLAS thread on 2 CPUs a
-# 2-way split of `eps` took 231 -> 353 us at 200 rows, 435 -> 443 us at 400,
-# 733 -> 707 us at 500 and 1.76 -> 1.28 ms at 1000.
-PARALLEL_ROWS = 500
-# Slices start at multiples of _ROW_ALIGN rows. A gemm computes the last M mod g
+# decode_batch and invert_batch run a trajectory of PARALLEL_ROWS rows or more
+# as two row halves in two processes (_in_row_halves). With one BLAS thread on
+# 2 CPUs a 100-step decode took 18 -> 20 ms at 128 rows, 29 -> 23 ms at 192,
+# 34 -> 28 ms at 256 and 66 -> 45 ms at 500; a fork and reap costs 3-4 ms.
+PARALLEL_ROWS = 256
+# The cut falls on a multiple of _ROW_ALIGN rows. A gemm computes the last M mod g
 # rows of an M-row product (g is its kernel's row group, 4 with OpenBLAS 0.3.31
 # on x86-64) with a tail kernel whose bits differ, so only aligned cuts give
 # the one-pass bits.
 _ROW_ALIGN = 64
-# The most slices per batch: the threshold and the gain were measured at 2.
+# The most processes per trajectory: the threshold and the gain were measured at 2.
 _MAX_WORKERS = 2
 
 
 def _blas_threads() -> int | None:
     """BLAS threads as OpenBLAS reads them at load: the first positive number among
     OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS, or None (one per CPU)."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in _BLAS_VARS:
         try:
             n = int(os.environ.get(var, ""))
         except ValueError:
@@ -104,10 +108,10 @@ def _blas_threads() -> int | None:
 
 
 def _row_workers() -> int:
-    """Row slices per large batch: min(_MAX_WORKERS, usable CPUs) with BLAS pinned to
-    one thread, else 1. A multi-threaded BLAS already runs on the other CPUs, and
-    pool threads contending with it made a guided 1000-row decode slower."""
-    if _blas_threads() != 1:
+    """Processes per large trajectory: min(_MAX_WORKERS, usable CPUs) with BLAS pinned
+    to one thread and os.fork available, else 1. A multi-threaded BLAS already runs
+    on the other CPUs."""
+    if _blas_threads() != 1 or not hasattr(os, "fork"):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -117,25 +121,58 @@ def _row_workers() -> int:
 
 
 _WORKERS = _row_workers()
-_pool: ThreadPoolExecutor | None = None
 
 
-def _executor() -> ThreadPoolExecutor:
-    """The row-slice thread pool, built on first use with _WORKERS - 1 threads."""
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="diffcanon-rows")
-    return _pool
+def _in_row_halves(run, b: int) -> np.ndarray:
+    """run(slice(0, b)), as two row halves in two processes for a large batch.
 
-
-def _forget_pool() -> None:
-    """A forked child has none of the pool's threads, so it builds a pool of its own."""
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    With b >= PARALLEL_ROWS and _WORKERS = 2, a forked child runs the tail
+    rows, run(slice(cut, b)), while this process runs the head rows; cut is
+    the multiple of _ROW_ALIGN nearest b / 2, so every row keeps its one-pass
+    bits. The child inherits what it reads, sends its result or its exception
+    back pickled over a pipe and leaves with os._exit. If the head raises, its
+    exception wins and the child is killed; the child is reaped either way.
+    A process with other threads runs all rows itself: a lock that another
+    thread holds at the fork would stay held in the child.
+    """
+    cut = round(b / _MAX_WORKERS / _ROW_ALIGN) * _ROW_ALIGN
+    if b < PARALLEL_ROWS or _WORKERS < 2 or not 0 < cut < b or threading.active_count() > 1:
+        return run(slice(0, b))
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare (EAGAIN, ENOMEM): run all rows here
+        os.close(read_fd)
+        os.close(write_fd)
+        return run(slice(0, b))
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                message = (True, run(slice(cut, b)))
+            except BaseException as exc:  # the parent raises it
+                message = (False, exc)
+            data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)  # all or nothing
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            head = run(slice(0, cut))
+            message = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
+    if not message:
+        raise RuntimeError("the process running the tail rows ended without a result")
+    ok, tail = pickle.loads(message)
+    if not ok:
+        raise tail
+    return np.concatenate([head, tail])
 
 
 class CondDenoiser:
@@ -162,6 +199,7 @@ class CondDenoiser:
         self.W3 = Tensor(rng.normal((h, 2)) * np.sqrt(2.0 / h), requires_grad=True)
         self.b3 = Tensor(np.zeros(2), requires_grad=True)
         self.label_emb = Tensor(rng.normal((n_classes + 1, embed_dim)), requires_grad=True)
+        self._workspace: dict | None = None  # row count -> buffers, inside `trajectory`
 
     @property
     def null_id(self) -> int:
@@ -226,41 +264,32 @@ class CondDenoiser:
         c["out"] = out
         return c
 
-    def _forward(self, x, t, cond) -> dict:
-        """h1, h2 and the output of a batch, split by rows over the usable CPUs.
+    @contextmanager
+    def trajectory(self):
+        """Let _forward reuse its row buffers until the block ends: one DDIM trajectory."""
+        outer, self._workspace = self._workspace, {}
+        try:
+            yield
+        finally:
+            self._workspace = outer
 
-        Below PARALLEL_ROWS rows, or with one CPU, this is one `_cache` pass.
-        Otherwise the calling thread runs the first of _WORKERS row slices and
-        the pool the others, with the one-pass result bit for bit. The caller
-        allocates every buffer: pool threads that allocated their own would
-        each draw from a glibc arena of their own and raise peak RSS.
+    def _forward(self, x, t, cond) -> dict:
+        """h1, h2 and the output of a batch, from one `_cache` pass into row buffers.
+
+        Inside `trajectory` the input, pre-activation and sigmoid buffers are
+        kept and reused while the row count stays the same, so a trajectory
+        allocates them once; the output buffer is fresh on every call.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         b, hd = x.shape[0], self.hidden_dim
-        bufs = (np.empty((b, 2 + 2 * self.embed_dim)), np.empty((b, hd)), np.empty((b, hd)),
-                np.empty((b, hd)), np.empty((b, 2)))
-        if b < PARALLEL_ROWS or _WORKERS == 1:
-            return self._cache(x, t, cond, bufs)
-        cond = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (b,))
-        per_row = np.ndim(t) > 0 and len(t) == b
-        cuts = sorted({min(b, round(b * k / _WORKERS / _ROW_ALIGN) * _ROW_ALIGN)
-                       for k in range(_WORKERS)} | {b})
-
-        def part(lo, hi):
-            return (x[lo:hi], t[lo:hi] if per_row else t, cond[lo:hi],
-                    tuple(buf[lo:hi] for buf in bufs))
-
-        # workers run the untraced _cache only: a benchmark tracer keeps one
-        # span stack, which a traced call on a second thread would corrupt
-        jobs = [_executor().submit(self._cache, *part(lo, hi))
-                for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        try:
-            self._cache(*part(cuts[0], cuts[1]))
-        finally:
-            wait(jobs)
-        for job in jobs:
-            job.result()
-        return {"h1": bufs[1], "h2": bufs[2], "out": bufs[4]}
+        ws = self._workspace
+        bufs = ws.get(b) if ws is not None else None
+        if bufs is None:
+            bufs = (np.empty((b, 2 + 2 * self.embed_dim)), np.empty((b, hd)), np.empty((b, hd)),
+                    np.empty((b, hd)))
+            if ws is not None:
+                self._workspace = {b: bufs}
+        return self._cache(x, t, cond, bufs + (np.empty((b, 2)),))
 
     def eps(self, x, t, cond) -> np.ndarray:
         """Noise prediction, batched, pure numpy (no graph)."""
@@ -270,7 +299,8 @@ class CondDenoiser:
         """Post-activation hidden features of the chosen layer (1 or 2)."""
         if layer not in (1, 2):
             raise InvalidInputError(f"layer must be 1 or 2, got {layer}")
-        return self._forward(x, t, cond)[f"h{layer}"]
+        h = self._forward(x, t, cond)[f"h{layer}"]
+        return h if self._workspace is None else h.copy()
 
     def feature_jvp(self, x, t, cond, v: np.ndarray, layer: int = 2) -> np.ndarray:
         """Directional derivative of hidden(layer) along v in data space, per point of x."""
@@ -417,26 +447,42 @@ def _ddim_step(x: np.ndarray, eps_hat: np.ndarray, a_from: float, a_to: float) -
     return np.sqrt(a_to) * x0_hat + np.sqrt(1.0 - a_to) * eps_hat
 
 
+def _decode(x, grid, cond, switch, model, sched, cfg_scale) -> np.ndarray:
+    null = np.full(len(x), model.null_id, dtype=np.int64)
+    with getattr(model, "trajectory", nullcontext)():
+        for hi, lo in zip(reversed(grid[1:]), reversed(grid[:-1])):
+            step_cond = cond if switch is None else np.where(hi > switch, null, cond)
+            eps_hat = guided_eps(model, x, hi, step_cond, cfg_scale)
+            x = _ddim_step(x, eps_hat, sched.alpha_bar[hi], sched.alpha_bar[lo])
+    return x
+
+
 def decode_batch(x: np.ndarray, t: int, cond, model: CondDenoiser, sched: NoiseSchedule,
-                 cfg_scale: float = 1.0, te_switch: int | None = None) -> np.ndarray:
+                 cfg_scale: float = 1.0, te_switch=None) -> np.ndarray:
     """Deterministic DDIM decode of a batch from timestep t down to 0.
 
-    With te_switch set, steps whose upper timestep exceeds the switch
-    use the null condition (two-stage sampling); otherwise cond is used
-    throughout.
+    With te_switch set (one timestep, or one per row), a row uses the null
+    condition on the steps whose upper timestep exceeds its switch
+    (two-stage sampling); otherwise cond is used throughout. A large batch
+    runs as two row halves in two processes (_in_row_halves).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64)).copy()
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if t == 0:
-        return x
+        return x.copy()
     grid = ddim_grid(sched, t)
-    cond_arr = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (x.shape[0],))
-    null_arr = np.full(x.shape[0], model.null_id, dtype=np.int64)
-    for hi, lo in zip(reversed(grid[1:]), reversed(grid[:-1])):
-        step_cond = cond_arr
-        if te_switch is not None and hi > te_switch:
-            step_cond = null_arr
-        eps_hat = guided_eps(model, x, hi, step_cond, cfg_scale)
-        x = _ddim_step(x, eps_hat, sched.alpha_bar[hi], sched.alpha_bar[lo])
+    b = x.shape[0]
+    cond = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (b,))
+    switch = None if te_switch is None else np.broadcast_to(np.asarray(te_switch), (b,))
+    return _in_row_halves(lambda rows: _decode(
+        x[rows], grid, cond[rows], None if switch is None else switch[rows],
+        model, sched, cfg_scale), b)
+
+
+def _invert(x, grid, cond, model, sched) -> np.ndarray:
+    with getattr(model, "trajectory", nullcontext)():
+        for lo, hi in zip(grid[:-1], grid[1:]):
+            eps_hat = model.eps(x, max(lo, 1), cond)
+            x = _ddim_step(x, eps_hat, sched.alpha_bar[lo], sched.alpha_bar[hi])
     return x
 
 
@@ -446,25 +492,27 @@ def invert_batch(x0: np.ndarray, target_t: int, cond, model: CondDenoiser,
 
     Reverses the decode by evaluating the noise prediction at the
     current lower-noise state (timestep clamped to at least 1) and
-    re-noising one grid step at a time.
+    re-noising one grid step at a time. A large batch runs as two row
+    halves in two processes (_in_row_halves).
     """
-    x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
+    x = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     if target_t == 0:
-        return x
+        return x.copy()
     grid = ddim_grid(sched, target_t)
-    cond_arr = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (x.shape[0],))
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        eps_hat = model.eps(x, max(lo, 1), cond_arr)
-        x = _ddim_step(x, eps_hat, sched.alpha_bar[lo], sched.alpha_bar[hi])
-    return x
+    b = x.shape[0]
+    cond = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (b,))
+    return _in_row_halves(lambda rows: _invert(x[rows], grid, cond[rows], model, sched), b)
 
 
-def two_stage_batch(n: int, t_e: int, cond: int, model: CondDenoiser, sched: NoiseSchedule,
-                    rng: Rng, cfg_scale: float = 1.0) -> np.ndarray:
-    """Sample n points: null condition above t_e, the class condition at or below."""
-    if t_e < 0 or t_e > sched.t_max:
+def two_stage_batch(x_T: np.ndarray, t_e, cond, model: CondDenoiser, sched: NoiseSchedule,
+                    cfg_scale: float = 1.0) -> np.ndarray:
+    """Decode x_T from T: null condition above t_e, the class condition at or below.
+
+    t_e and cond are one value for every row or one per row.
+    """
+    t_e = np.asarray(t_e)
+    if np.any(t_e < 0) or np.any(t_e > sched.t_max):
         raise InvalidInputError(f"t_e out of range [0, {sched.t_max}]")
-    x_T = rng.normal((n, 2))
     return decode_batch(x_T, sched.t_max, cond, model, sched, cfg_scale, te_switch=t_e)
 
 

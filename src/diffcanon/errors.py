@@ -27,3 +27,7 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch
         super().__init__(message or f"training diverged at epoch {epoch}")
+
+    def __reduce__(self):
+        # the default rebuilds from args, which hold only the message
+        return type(self), (self.epoch, str(self))

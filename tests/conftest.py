@@ -1,4 +1,6 @@
 """Shared fixtures: one dataset and one fully trained denoiser per session."""
+import diffcanon  # noqa: F401  first, so that its BLAS pin is set before numpy loads
+
 import numpy as np
 import pytest
 

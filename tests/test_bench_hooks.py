@@ -6,6 +6,7 @@ show when the benchmark runs.
 """
 import importlib
 import importlib.util
+import os
 import pkgutil
 from pathlib import Path
 
@@ -74,8 +75,8 @@ def test_canonicalize_reaches_the_traced_jacobian_and_svd():
 
 def test_split_rows_keep_the_tracer_span_stack_whole(monkeypatch):
     # perfbench's self-tests run tiny workloads that stay below PARALLEL_ROWS, so
-    # only this test puts the tracer over a batch the thread pool splits; the
-    # tracer keeps one span stack, which a traced call on a pool thread corrupts
+    # only this test puts the tracer over a trajectory split into two processes;
+    # the child's spans stay in the child, so the tracer sees the parent's only
     monkeypatch.setattr(diffusion, "_WORKERS", 2)
     tracing = TRACING_MODULE
     tracer = tracing.Tracer()
@@ -86,15 +87,20 @@ def test_split_rows_keep_the_tracer_span_stack_whole(monkeypatch):
     tracer.install()
     try:
         model.eps(x, 50, np.zeros(b, dtype=np.int64))
-        # guided: a null and a conditional call of b rows per step
-        diffusion.decode_batch(x, 50, 1, model, sched, cfg_scale=3.0)
+        # guided: a null and a conditional call of the head rows per step
+        out = diffusion.decode_batch(x, 50, 1, model, sched, cfg_scale=3.0)
     finally:
         tracer.uninstall()
     spans = tracer.spans
+    assert out.shape == (b, 2)
     assert all(s[tracing.END] is not None for s in spans)
     steps = len(diffusion.ddim_grid(sched, 50)) - 1
     rows = [s[tracing.ATTRS]["rows"] for s in spans if s[tracing.NAME] == "diffusion.eps"]
-    assert rows == [b] * (1 + 2 * steps)
+    head = round(b / 2 / diffusion._ROW_ALIGN) * diffusion._ROW_ALIGN
+    assert rows == [b] + [head] * (2 * steps)
+    assert [s[tracing.NAME] for s in spans].count("diffusion.decode") == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_pool_rows_are_counted_exactly_under_the_tracer():

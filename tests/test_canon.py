@@ -267,6 +267,39 @@ def test_find_te_satisfies_saturation_rule(te_reports):
         assert r.chosen == canon.saturation_choice(r.grid, r.accuracies, r.tol)
 
 
+@pytest.mark.parametrize("m", [200, 50])
+def test_stacked_find_te_equals_per_block_decodes(trained_model, schedule, monkeypatch, m):
+    # find_te decodes its (t_e, class) blocks stacked, at most _TE_ROWS rows at a
+    # time; each block must come out as its own two-stage decode would. Rows in a
+    # gemm's tail group take other last bits, so only m % 4 == 0 is bitwise.
+    grid = [0, 200, 400, 600, 800, 1000]
+    stacked = []
+
+    def recorded(*args, **kwargs):
+        stacked.append(two_stage(*args, **kwargs))
+        return stacked[-1]
+
+    two_stage = canon.two_stage_batch
+    monkeypatch.setattr(canon, "two_stage_batch", recorded)
+    report = canon.find_te(trained_model, schedule, toydata.bayes_rule, grid, m, Rng(21))
+    assert len(stacked) == -(-len(grid) * 2 * m // canon._TE_ROWS)
+    accuracies, blocks = [], []
+    for t_e in grid:
+        correct = 0
+        for c in (0, 1):
+            x_T = Rng(21).split(f"te-{t_e}-c{c}").normal((m, 2))
+            blocks.append(decode_batch(x_T, schedule.t_max, c, trained_model, schedule,
+                                       te_switch=t_e))
+            correct += int(np.sum(toydata.bayes_rule(blocks[-1]) == c))
+        accuracies.append(correct / (2 * m))
+    assert report.accuracies == accuracies
+    got, want = np.concatenate(stacked), np.concatenate(blocks)
+    if m % 4 == 0:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_find_te_rejects_bad_grid(trained_model, schedule):
     with pytest.raises(InvalidInputError):
         canon.find_te(trained_model, schedule, toydata.bayes_rule, [], 10, Rng(0))

@@ -1,5 +1,8 @@
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
 
 import numpy as np
@@ -111,7 +114,7 @@ def test_time_table_rows_equal_time_embedding(schedule):
 
 @pytest.mark.parametrize("t", [500, diffusion.TIME_TABLE_SIZE + 5, 2.5],
                          ids=["table", "past-table", "non-integer"])
-@pytest.mark.parametrize("b", [1, 5, diffusion.PARALLEL_ROWS + 3])
+@pytest.mark.parametrize("b", [1, 5, 503])
 def test_scalar_timestep_equals_one_timestep_per_row(t, b):
     # a scalar t is embedded once and broadcast; it must give what t repeated
     # for every row gives, bit for bit
@@ -138,34 +141,62 @@ def test_scalar_timestep_equals_one_timestep_per_row(t, b):
         assert np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_row_split_equals_one_pass(monkeypatch, workers):
-    # eps and hidden cut a batch of PARALLEL_ROWS rows or more into one slice
-    # per worker, at multiples of _ROW_ALIGN rows; the result must be that of
-    # one _cache pass bit for bit, on either side of the threshold
-    monkeypatch.setattr(diffusion, "_WORKERS", workers)
+# ---------------------------------------------------------------- row halves
+
+
+@pytest.fixture
+def no_child_left():
+    # every trajectory that forks reaps its child before it returns or raises
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the forks of this process; the split runs with two processes."""
+    monkeypatch.setattr(diffusion, "_WORKERS", 2)
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+SPLIT_SCHED = linear_schedule(ddim_steps=10)
+
+
+def split_trajectory(kind, model, x, cond):
+    if kind == "invert":
+        return invert_batch(x, 700, cond, model, SPLIT_SCHED)
+    if kind == "switch":
+        te = Rng(12).integers(0, 701, size=len(x))
+        return decode_batch(x, 700, cond, model, SPLIT_SCHED, te_switch=te)
+    return decode_batch(x, 700, cond, model, SPLIT_SCHED, 3.0 if kind == "guided" else 1.0)
+
+
+@pytest.mark.parametrize("kind", ["decode", "guided", "switch", "invert"])
+def test_row_split_equals_one_pass(monkeypatch, forks, no_child_left, kind):
+    # a trajectory of PARALLEL_ROWS rows or more runs its tail rows in a forked
+    # child, cut at a multiple of _ROW_ALIGN rows; the result must be that of
+    # one unsplit trajectory bit for bit, on either side of the threshold
+    # (p + 10 rows would be cut at row 133 without the alignment)
     model = CondDenoiser(Rng(6))
-    passes = []
-    one_pass = CondDenoiser._cache
-
-    def counted(self, *args):
-        passes.append(len(args[0]))
-        return one_pass(self, *args)
-
     p = diffusion.PARALLEL_ROWS
-    for b in (p - 1, p, 2 * p + 1):
+    for b in (p - 1, p, p + 10, 2 * p + 1):
         x = Rng(7).normal((b, 2))
-        cond = np.arange(b) % (model.n_classes + 1)
-        for t in (321, Rng(8).integers(1, 1001, size=b)):
-            want = one_pass(model, x, t, cond)
-            monkeypatch.setattr(CondDenoiser, "_cache", counted)
-            passes.clear()
-            got = [model.eps(x, t, cond)] + [model.hidden(x, t, cond, layer) for layer in (1, 2)]
-            monkeypatch.setattr(CondDenoiser, "_cache", one_pass)
-            # eps and both hidden layers: three calls, each cut into one slice per worker
-            assert len(passes) == 3 * (workers if b >= p else 1) and sum(passes) == 3 * b, b
-            for name, g in zip(("out", "h1", "h2"), got):
-                assert g.shape == want[name].shape and np.array_equal(g, want[name]), (b, name)
+        cond = np.arange(b) % model.n_classes
+        monkeypatch.setattr(diffusion, "_WORKERS", 1)
+        want = split_trajectory(kind, model, x, cond)
+        monkeypatch.setattr(diffusion, "_WORKERS", 2)
+        forks.clear()
+        got = split_trajectory(kind, model, x, cond)
+        assert len(forks) == (b >= p), b
+        assert got.shape == want.shape == (b, 2) and np.array_equal(got, want), b
 
 
 @pytest.mark.parametrize("env, cpus, want", [
@@ -179,8 +210,8 @@ def test_row_split_equals_one_pass(monkeypatch, workers):
     ({"GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2, 2),
 ])
 def test_rows_split_only_with_one_blas_thread(monkeypatch, env, cpus, want):
-    # a multi-threaded BLAS already runs on the other CPUs, and the slice count
-    # is capped at the count the threshold was measured at
+    # a multi-threaded BLAS already runs on the other CPUs, and the process
+    # count is capped at the count the threshold was measured at
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
@@ -189,32 +220,100 @@ def test_rows_split_only_with_one_blas_thread(monkeypatch, env, cpus, want):
     assert diffusion._row_workers() == want
 
 
-def test_bad_label_in_a_worker_slice_raises_as_in_one_pass(monkeypatch):
-    monkeypatch.setattr(diffusion, "_WORKERS", 2)
+def workers_in_fresh_process(env: dict, first: str = "") -> int:
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(diffusion.__file__)), base.get("PYTHONPATH", "")])
+    code = f"{first}from diffcanon import diffusion; print(diffusion._WORKERS)"
+    out = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                         capture_output=True, text=True, check=True, timeout=60)
+    return int(out.stdout)
+
+
+def test_blas_is_pinned_by_default_unless_the_caller_chose():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert workers_in_fresh_process({}) == min(diffusion._MAX_WORKERS, cpus)
+    assert workers_in_fresh_process({"OMP_NUM_THREADS": "3"}) == 1
+    # numpy loaded first has already started BLAS on every CPU: no pin, no split
+    assert workers_in_fresh_process({}, first="import numpy; ") == 1
+
+
+def test_bad_label_in_a_worker_slice_raises_as_in_one_pass(monkeypatch, forks, no_child_left):
+    # the child runs the tail rows; its exception reaches the parent pickled
     model = CondDenoiser(Rng(9))
     b = 2 * diffusion.PARALLEL_ROWS
     x = Rng(10).normal((b, 2))
     cond = np.zeros(b, dtype=np.int64)
-    cond[-1] = model.n_classes + 5  # in the last slice, which a pool thread runs
+    cond[-1] = model.n_classes + 5
+    monkeypatch.setattr(diffusion, "_WORKERS", 1)
     with pytest.raises(Exception) as one_pass:
-        model._cache(x, 10, cond)
+        decode_batch(x, 100, cond, model, SPLIT_SCHED)
+    monkeypatch.setattr(diffusion, "_WORKERS", 2)
     with pytest.raises(Exception) as split:
-        model.eps(x, 10, cond)
-    assert split.type is one_pass.type
+        decode_batch(x, 100, cond, model, SPLIT_SCHED)
+    assert len(forks) == 1
+    assert split.type is one_pass.type and str(split.value) == str(one_pass.value)
+
+
+def test_head_rows_error_wins_and_the_child_is_reaped(forks, no_child_left):
+    class HeadFails:
+        n_classes, null_id = 2, 2
+
+        def eps(self, x, t, cond):
+            if cond[0] == 0:
+                raise InvalidInputError("head rows")
+            time.sleep(60)  # the tail rows: killed, not waited for
+            raise RuntimeError("tail rows")
+
+    b = 2 * diffusion.PARALLEL_ROWS
+    cond = (np.arange(b) >= b // 2).astype(np.int64)
+    start = time.monotonic()
+    with pytest.raises(InvalidInputError, match="head rows"):
+        decode_batch(np.zeros((b, 2)), 100, cond, HeadFails(), SPLIT_SCHED)
+    assert len(forks) == 1 and time.monotonic() - start < 30
+
+
+def test_a_process_with_other_threads_runs_all_rows_itself(forks, no_child_left):
+    model = CondDenoiser(Rng(16))
+    x = Rng(17).normal((2 * diffusion.PARALLEL_ROWS, 2))
+    want = decode_batch(x, 300, 1, model, SPLIT_SCHED)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        got = decode_batch(x, 300, 1, model, SPLIT_SCHED)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert len(forks) == 1 and np.array_equal(got, want)
+
+
+def test_a_failed_fork_runs_all_rows_here(monkeypatch, no_child_left):
+    model = CondDenoiser(Rng(18))
+    x = Rng(19).normal((2 * diffusion.PARALLEL_ROWS, 2))
+    monkeypatch.setattr(diffusion, "_WORKERS", 1)
+    want = invert_batch(x, 300, 1, model, SPLIT_SCHED)
+    monkeypatch.setattr(diffusion, "_WORKERS", 2)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert np.array_equal(invert_batch(x, 300, 1, model, SPLIT_SCHED), want)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_splits_rows_on_a_pool_of_its_own(monkeypatch):
-    # the child inherits the parent's pool object but none of its threads;
-    # a job submitted to it would never run
-    monkeypatch.setattr(diffusion, "_WORKERS", 2)
+def test_forked_child_runs_a_split_trajectory(forks, no_child_left):
     model = CondDenoiser(Rng(13))
     x = Rng(14).normal((2 * diffusion.PARALLEL_ROWS, 2))
-    want = model.eps(x, 10, 0)
+    want = decode_batch(x, 300, 0, model, SPLIT_SCHED)
     pid = os.fork()
     if pid == 0:
         try:
-            os._exit(0 if np.array_equal(model.eps(x, 10, 0), want) else 1)
+            got = decode_batch(x, 300, 0, model, SPLIT_SCHED)
+            os._exit(0 if np.array_equal(got, want) else 1)
         finally:
             os._exit(2)
     for _ in range(600):
@@ -225,8 +324,25 @@ def test_forked_child_splits_rows_on_a_pool_of_its_own(monkeypatch):
     else:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-        pytest.fail("the forked child did not finish eps within 30 s")
+        pytest.fail("the forked child did not finish its trajectory within 30 s")
     assert os.waitstatus_to_exitcode(status) == 0
+    assert len(forks) == 2  # the parent's own split and the caller's fork
+
+
+def test_workspace_lives_for_one_trajectory_and_never_aliases(trained_model):
+    model = trained_model
+    x = Rng(15).normal((300, 2))
+    assert model._workspace is None
+    with model.trajectory():
+        a = model.eps(x, 500, 1)
+        h = model.hidden(x, 500, 1)
+        bufs = model._workspace[300]
+        b = model.eps(x, 400, 1)
+        assert model._workspace[300] is bufs
+        assert not any(np.shares_memory(r, buf) for r in (a, h, b) for buf in bufs)
+        assert not np.shares_memory(a, b)
+    assert model._workspace is None
+    assert np.array_equal(a, model.eps(x, 500, 1)) and np.array_equal(h, model.hidden(x, 500, 1))
 
 
 def reference_eps_graph(model, x_t, t, cond):
@@ -425,12 +541,12 @@ def test_cfg_w0_equals_unconditional(trained_model):
 
 def test_two_stage_boundary_cases(trained_model, schedule):
     n, T = 8, schedule.t_max
-    full_cond = two_stage_batch(n, T, 1, trained_model, schedule, Rng(31))
+    full_cond = two_stage_batch(Rng(31).normal((n, 2)), T, 1, trained_model, schedule)
     plain_cond = decode_batch(Rng(31).normal(size=(n, 2)), T,
                               np.full(n, 1), trained_model, schedule)
     assert np.array_equal(full_cond, plain_cond)
 
-    full_null = two_stage_batch(n, 0, 1, trained_model, schedule, Rng(32))
+    full_null = two_stage_batch(Rng(32).normal((n, 2)), 0, 1, trained_model, schedule)
     plain_null = decode_batch(Rng(32).normal(size=(n, 2)), T,
                               np.full(n, trained_model.null_id), trained_model, schedule)
     assert np.array_equal(full_null, plain_null)
@@ -439,7 +555,8 @@ def test_two_stage_boundary_cases(trained_model, schedule):
 def test_two_stage_accuracy_saturates(trained_model, schedule):
     accs = []
     for t_e in (0, 200, 400, 600, 800, 1000):
-        xs = two_stage_batch(100, t_e, 1, trained_model, schedule, Rng(40).split(f"t{t_e}"))
+        xs = two_stage_batch(Rng(40).split(f"t{t_e}").normal((100, 2)), t_e, 1, trained_model,
+                             schedule)
         accs.append(float(np.mean(toydata.bayes_rule(xs) == 1)))
     assert accs[0] < 0.9  # unconditional start is mixed
     assert all(a >= accs[-1] - 0.05 for a in accs[2:])  # saturated region

@@ -157,9 +157,8 @@ class _FlatOptimizer:
 
     Every `p.data` is rebound to a view into one flat array, so a step
     updates all parameters with a few whole-buffer operations; the state
-    buffers share the layout. Parameters whose grad is None are skipped,
-    their state untouched. A `p.data` rebound after construction is no
-    longer updated by the optimizer.
+    buffers share the layout. Every parameter needs a grad at each step. A
+    `p.data` rebound after construction is no longer updated by the optimizer.
     """
 
     def __init__(self, params):
@@ -176,14 +175,12 @@ class _FlatOptimizer:
         for p in self.params:
             p.grad = None
 
-    def _gather(self) -> list[slice]:
-        """Copy the grads into the flat gradient buffer; return the spans to update."""
-        spans = []
-        for p, sl in zip(self.params, self.slices):
-            if p.grad is not None:
-                self.grad[sl] = p.grad.ravel()
-                spans.append(sl)
-        return [slice(None)] if len(spans) == len(self.params) else spans
+    def _gather(self) -> None:
+        """Copy every grad into the flat gradient buffer."""
+        for i, (p, sl) in enumerate(zip(self.params, self.slices)):
+            if p.grad is None:
+                raise ContractError(f"parameter {i} has no gradient")
+            self.grad[sl] = p.grad.ravel()
 
 
 class Adam(_FlatOptimizer):
@@ -199,19 +196,19 @@ class Adam(_FlatOptimizer):
 
     def step(self) -> None:
         self.t += 1
-        for sl in self._gather():
-            p, g, m, v = self.flat[sl], self.grad[sl], self.m[sl], self.v[sl]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self._gather()
+        g, m, v = self.grad, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        m_hat = m / (1.0 - self.beta1 ** self.t)
+        v_hat = v / (1.0 - self.beta2 ** self.t)
+        self.flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 class SgdMomentum(_FlatOptimizer):
-    """SGD with classical momentum."""
+    """SGD with classical momentum. No stage uses it; the benchmark tracer hooks its step."""
 
     def __init__(self, params, lr: float = 1e-2, momentum: float = 0.9):
         super().__init__(params)
@@ -219,11 +216,10 @@ class SgdMomentum(_FlatOptimizer):
         self.buf = np.zeros_like(self.flat)
 
     def step(self) -> None:
-        for sl in self._gather():
-            b = self.buf[sl]
-            b *= self.momentum
-            b += self.grad[sl]
-            self.flat[sl] -= self.lr * b
+        self._gather()
+        self.buf *= self.momentum
+        self.buf += self.grad
+        self.flat -= self.lr * self.buf
 
 
 def save_params(path: str, fmt: str, meta: dict[str, int], model) -> None:

@@ -191,8 +191,7 @@ def cmd_train_student(cfg: dict, out: str) -> None:
         tau=cfg["student.tau"], lambda_cs=cfg["student.lambda_cs"],
         lambda_cf=cfg["student.lambda_cf"], lambda_dist=cfg["student.lambda_dist"],
         lambda_cka=cfg["student.lambda_cka"], epochs=cfg["student.epochs"],
-        batch_size=cfg["student.batch_size"], lr=cfg["student.lr"],
-        optimizer=cfg["student.optimizer"], momentum=cfg["student.momentum"])
+        batch_size=cfg["student.batch_size"], lr=cfg["student.lr"])
     student, log = distill.train_student(dataset, pool, dc, Rng(cfg["seed"]).split("student"))
     prefix = "vanilla" if vanilla else "student"
     distill.save_student(student, os.path.join(out, f"{prefix}_checkpoint.json"))
@@ -315,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
             echo += ".vanilla" if cfg["student.vanilla"] else ".distill"
         elif args.command == "attack":
             echo += f".{cfg['attack.target']}"
-        config.write_resolved(cfg, out, name=f"resolved_config.{echo}.json")
+        _write_json(cfg, os.path.join(out, f"resolved_config.{echo}.json"))
         COMMANDS[args.command](cfg, out)
     except tuple(ERROR_CODES) as exc:
         code = next(c for t, c in ERROR_CODES.items() if isinstance(exc, t))

@@ -10,9 +10,7 @@ reproduced from its own directory.
 from __future__ import annotations
 
 import json
-import os
 
-from .autodiff import atomic_write
 from .errors import ConfigError
 
 DEFAULTS: dict[str, object] = {
@@ -41,8 +39,6 @@ DEFAULTS: dict[str, object] = {
     "student.epochs": 200,
     "student.batch_size": 128,
     "student.lr": 1e-3,
-    "student.optimizer": "adam",
-    "student.momentum": 0.9,
     "student.tau": 0.1,
     "student.lambda_cs": 0.4,
     "student.lambda_cf": 0.5,
@@ -84,7 +80,10 @@ def resolve(config_path: str | None = None, overrides: dict[str, object] | None 
     cfg = dict(DEFAULTS)
     if config_path is not None:
         with open(config_path) as f:
-            loaded = json.load(f)
+            try:
+                loaded = json.load(f)
+            except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
+                raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a flat JSON object")
         for key, value in loaded.items():
@@ -107,14 +106,6 @@ def parse_set_args(pairs: list[str]) -> dict[str, object]:
         key, value = pair.split("=", 1)
         out[key] = value
     return out
-
-
-def write_resolved(cfg: dict, out_dir: str, name: str = "resolved_config.json") -> str:
-    path = os.path.join(out_dir, name)
-    with atomic_write(path) as f:
-        json.dump(cfg, f, sort_keys=True, indent=2)
-        f.write("\n")
-    return path
 
 
 def grid_from_config(cfg: dict) -> list[int]:

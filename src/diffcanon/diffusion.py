@@ -2,9 +2,9 @@
 
 Linear-beta DDPM schedule, a small conditional MLP noise predictor with
 sinusoidal time embeddings and a learned label table (last row = the
-null condition), DDPM training, deterministic DDIM decoding/inversion
-over a uniform step grid, classifier-free guidance, and two-stage
-sampling that switches the condition on at a chosen timestep.
+null condition), DDPM training, one deterministic DDIM walk over a
+uniform step grid for decoding and inversion, classifier-free guidance,
+and two-stage sampling that switches the condition on at a chosen timestep.
 
 Timestep convention: alpha_bar has length T+1 with alpha_bar[0] = 1, so
 t = 0 is the clean-data point and DDIM steps move between grid points
@@ -26,7 +26,7 @@ import numpy as np
 from . import _BLAS_VARS
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InvalidInputError, TrainingDivergedError
+from .errors import ConfigError, InvalidInputError, TrainingDivergedError
 from .rng import Rng
 from .toydata import ToyDataset
 
@@ -364,6 +364,8 @@ def train_cdm(data: ToyDataset, sched: NoiseSchedule, cfg: TrainConfig, rng: Rng
     Adam iterate, whose class means drift from epoch to epoch at a
     constant learning rate; the losses are those of the live iterate.
     """
+    if cfg.batch_size < 1:
+        raise ConfigError(f"batch_size must be at least 1, got {cfg.batch_size}")
     if len(data) == 0:
         raise InvalidInputError("empty dataset")
     model = CondDenoiser(rng.split("init"))
@@ -447,14 +449,30 @@ def _ddim_step(x: np.ndarray, eps_hat: np.ndarray, a_from: float, a_to: float) -
     return np.sqrt(a_to) * x0_hat + np.sqrt(1.0 - a_to) * eps_hat
 
 
-def _decode(x, grid, cond, switch, model, sched, cfg_scale) -> np.ndarray:
-    null = np.full(len(x), model.null_id, dtype=np.int64)
+def _walk(x, ts, cond, switch, model, sched, cfg_scale) -> np.ndarray:
+    """Deterministic DDIM steps from ts[0] to ts[-1]. Each predicts the noise at the
+    timestep it leaves, clamped to at least 1; a row takes the null condition
+    while that timestep is above its switch (switch None: never)."""
     with getattr(model, "trajectory", nullcontext)():
-        for hi, lo in zip(reversed(grid[1:]), reversed(grid[:-1])):
-            step_cond = cond if switch is None else np.where(hi > switch, null, cond)
-            eps_hat = guided_eps(model, x, hi, step_cond, cfg_scale)
-            x = _ddim_step(x, eps_hat, sched.alpha_bar[hi], sched.alpha_bar[lo])
+        for t_from, t_to in zip(ts[:-1], ts[1:]):
+            t = max(t_from, 1)
+            step_cond = cond if switch is None else np.where(t > switch, model.null_id, cond)
+            eps_hat = guided_eps(model, x, t, step_cond, cfg_scale)
+            x = _ddim_step(x, eps_hat, sched.alpha_bar[t_from], sched.alpha_bar[t_to])
     return x
+
+
+def _walk_batch(x, ts, cond, model, sched, cfg_scale=1.0, te_switch=None) -> np.ndarray:
+    """_walk of a batch (cond, te_switch: one or one per row), in row halves if large."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if len(ts) == 1:
+        return x.copy()
+    b = x.shape[0]
+    cond = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (b,))
+    switch = None if te_switch is None else np.broadcast_to(np.asarray(te_switch), (b,))
+    return _in_row_halves(lambda rows: _walk(
+        x[rows], ts, cond[rows], None if switch is None else switch[rows],
+        model, sched, cfg_scale), b)
 
 
 def decode_batch(x: np.ndarray, t: int, cond, model: CondDenoiser, sched: NoiseSchedule,
@@ -463,45 +481,16 @@ def decode_batch(x: np.ndarray, t: int, cond, model: CondDenoiser, sched: NoiseS
 
     With te_switch set (one timestep, or one per row), a row uses the null
     condition on the steps whose upper timestep exceeds its switch
-    (two-stage sampling); otherwise cond is used throughout. A large batch
-    runs as two row halves in two processes (_in_row_halves).
+    (two-stage sampling); otherwise cond is used throughout.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if t == 0:
-        return x.copy()
-    grid = ddim_grid(sched, t)
-    b = x.shape[0]
-    cond = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (b,))
-    switch = None if te_switch is None else np.broadcast_to(np.asarray(te_switch), (b,))
-    return _in_row_halves(lambda rows: _decode(
-        x[rows], grid, cond[rows], None if switch is None else switch[rows],
-        model, sched, cfg_scale), b)
-
-
-def _invert(x, grid, cond, model, sched) -> np.ndarray:
-    with getattr(model, "trajectory", nullcontext)():
-        for lo, hi in zip(grid[:-1], grid[1:]):
-            eps_hat = model.eps(x, max(lo, 1), cond)
-            x = _ddim_step(x, eps_hat, sched.alpha_bar[lo], sched.alpha_bar[hi])
-    return x
+    return _walk_batch(x, ddim_grid(sched, t)[::-1], cond, model, sched, cfg_scale, te_switch)
 
 
 def invert_batch(x0: np.ndarray, target_t: int, cond, model: CondDenoiser,
                  sched: NoiseSchedule) -> np.ndarray:
-    """Deterministic DDIM inversion of a batch from data space to target_t.
-
-    Reverses the decode by evaluating the noise prediction at the
-    current lower-noise state (timestep clamped to at least 1) and
-    re-noising one grid step at a time. A large batch runs as two row
-    halves in two processes (_in_row_halves).
-    """
-    x = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    if target_t == 0:
-        return x.copy()
-    grid = ddim_grid(sched, target_t)
-    b = x.shape[0]
-    cond = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (b,))
-    return _in_row_halves(lambda rows: _invert(x[rows], grid, cond[rows], model, sched), b)
+    """Deterministic DDIM inversion of a batch from data space to target_t: the
+    decode walk run upward, predicting the noise at each lower grid point (at least 1)."""
+    return _walk_batch(x0, ddim_grid(sched, target_t), cond, model, sched)
 
 
 def two_stage_batch(x_T: np.ndarray, t_e, cond, model: CondDenoiser, sched: NoiseSchedule,

@@ -89,8 +89,6 @@ class DistillConfig:
     epochs: int = 200
     batch_size: int = 128
     lr: float = 1e-3
-    optimizer: str = "adam"
-    momentum: float = 0.9
 
 
 @dataclass
@@ -321,17 +319,14 @@ def train_student(data: ToyDataset, pool: Bundles | None, cfg: DistillConfig,
 
     Returns (student, per-epoch component log).
     """
+    if cfg.batch_size < 1:
+        raise ConfigError(f"batch_size must be at least 1, got {cfg.batch_size}")
     if pool is not None:
         missing = np.setdiff1d(data.ys, pool.cond)
         if len(missing):
             raise ConfigError(f"pool has no entries for class {missing[0]}")
     student = StudentClassifier(rng.split("init"))
-    if cfg.optimizer == "adam":
-        opt = ad.Adam(student.parameters(), lr=cfg.lr)
-    elif cfg.optimizer == "sgd":
-        opt = ad.SgdMomentum(student.parameters(), lr=cfg.lr, momentum=cfg.momentum)
-    else:
-        raise ConfigError(f"unknown optimizer: {cfg.optimizer}")
+    opt = ad.Adam(student.parameters(), lr=cfg.lr)
     train_rng = rng.split("train")
     pool_rng = rng.split("pool")
     xs, ys = data.xs, data.ys

@@ -195,8 +195,6 @@ def test_mse_node_matches_per_op_graph_bitwise():
 def reference_adam(params, grads, state, t, lr, b1, b2, eps):
     """Per-parameter Adam step, the loop the flat update replaces."""
     for p, g, (m, v) in zip(params, grads, state):
-        if g is None:
-            continue
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -208,8 +206,6 @@ def reference_adam(params, grads, state, t, lr, b1, b2, eps):
 
 def reference_sgd(params, grads, bufs, lr, momentum):
     for p, g, b in zip(params, grads, bufs):
-        if g is None:
-            continue
         b *= momentum
         b += g
         p -= lr * b
@@ -228,12 +224,10 @@ def test_flat_optimizers_match_per_parameter_reference(kind):
         opt = ad.SgdMomentum(tensors, lr=0.01, momentum=0.9)
         bufs = [np.zeros(s) for s in shapes]
     for step in range(1, 51):
-        # the third parameter gets no gradient on every fourth step
-        grads = [None if (i == 2 and step % 4 == 0) else rng.normal(size=s)
-                 for i, s in enumerate(shapes)]
+        grads = [rng.normal(size=s) for s in shapes]
         opt.zero_grad()
         for t, g in zip(tensors, grads):
-            t.grad = None if g is None else g.copy()
+            t.grad = g.copy()
         opt.step()
         if kind == "adam":
             reference_adam(ref, grads, state, step, 0.01, 0.8, 0.99, 1e-6)
@@ -247,6 +241,15 @@ def test_flat_optimizers_match_per_parameter_reference(kind):
         assert np.array_equal(opt.m, flat_m) and np.array_equal(opt.v, flat_v)
     else:
         assert np.array_equal(opt.buf, np.concatenate([b.ravel() for b in bufs]))
+
+
+def test_flat_optimizers_refuse_a_missing_gradient():
+    for kind in (ad.Adam, ad.SgdMomentum):
+        tensors = [ad.Tensor(np.ones(s), requires_grad=True) for s in (3, 2)]
+        opt = kind(tensors)
+        tensors[0].grad = np.ones(3)
+        with pytest.raises(ContractError, match="parameter 1 has no gradient"):
+            opt.step()
 
 
 # ---------------------------------------------------------------- checkpoint codec

@@ -160,6 +160,27 @@ def test_config_file_with_unknown_key_rejected(tmp_path, capsys):
     assert "code=CONFIG_ERROR" in capsys.readouterr().err
 
 
+def test_malformed_config_file_fails_with_config_error(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    for content in (b'{"data.n": 20,', b'{"data.n": 20}\xff'):
+        cfg_file.write_bytes(content)
+        rc = cli.main(["gen-data", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "code=CONFIG_ERROR" in err and str(cfg_file) in err
+
+
+@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("stage,key", [("train-cdm", "cdm.batch_size"),
+                                       ("train-student", "student.batch_size")])
+def test_training_refuses_a_batch_size_below_one(tmp_path, capsys, stage, key, size):
+    assert run("gen-data", str(tmp_path)) == 0
+    assert run(stage, str(tmp_path), "--set", "student.vanilla=true",
+               "--set", f"{key}={size}") == 1
+    err = capsys.readouterr().err
+    assert "code=CONFIG_ERROR" in err and f"got {size}" in err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "diffcanon.cli", "--help"],
                           capture_output=True, text=True)
@@ -348,7 +369,8 @@ def test_train_student_folds_a_trailing_one_row_batch(recipe_dir, tmp_path, caps
 
 
 @pytest.mark.parametrize("key,value", [("schedule.ddim_eta", 0.0), ("attack.norm", "linf"),
-                                       ("cdm.weight_decay", 0.0)])
+                                       ("cdm.weight_decay", 0.0), ("student.optimizer", "adam"),
+                                       ("student.momentum", 0.9)])
 def test_echo_with_a_deleted_key_is_refused(recipe_dir, tmp_path, capsys, key, value):
     # an echo written while the key existed still holds it
     with open(os.path.join(recipe_dir, "resolved_config.clarid.json")) as f:

@@ -498,6 +498,43 @@ def test_invert_zero_model_closed_form(schedule):
         assert np.max(np.abs(out - expected)) <= 1e-10
 
 
+class RecordingModel:
+    """Predicts zero noise and logs (t, cond per row) of every eps call."""
+    null_id = 2
+
+    def __init__(self):
+        self.log = []
+
+    def eps(self, x, t, cond):
+        self.log.append((int(t), tuple(np.broadcast_to(cond, (len(x),)).tolist())))
+        return np.zeros_like(x)
+
+
+@pytest.mark.parametrize("walk", ["decode", "decode guided", "decode switched",
+                                  "invert to t_e", "invert to t_r"])
+def test_walk_evaluates_the_timestep_each_step_leaves(walk):
+    # decode predicts at each upper grid point, the null condition above a
+    # row's switch, null then conditional when guided; inversion predicts at
+    # each lower grid point, clamped to at least 1
+    x, cond, model = np.zeros((2, 2)), np.array([0, 1]), RecordingModel()
+    if walk.startswith("invert"):
+        target = 350 if walk == "invert to t_e" else 100
+        invert_batch(x, target, cond, model, SPLIT_SCHED)
+        want = [(max(lo, 1), (0, 1)) for lo in ddim_grid(SPLIT_SCHED, target)[:-1]]
+    else:
+        uppers = ddim_grid(SPLIT_SCHED, 1000)[:0:-1]
+        if walk == "decode":
+            decode_batch(x, 1000, cond, model, SPLIT_SCHED)
+            want = [(hi, (0, 1)) for hi in uppers]
+        elif walk == "decode guided":
+            decode_batch(x, 1000, cond, model, SPLIT_SCHED, cfg_scale=3.0)
+            want = [call for hi in uppers for call in ((hi, (2, 2)), (hi, (0, 1)))]
+        else:
+            decode_batch(x, 1000, cond, model, SPLIT_SCHED, te_switch=np.array([300, 700]))
+            want = [(hi, (2 if hi > 300 else 0, 2 if hi > 700 else 1)) for hi in uppers]
+    assert model.log == want
+
+
 def test_decode_deterministic_bitwise(trained_model, schedule):
     lat = np.array([[0.3, -1.2], [1.0, 0.4]])
     a = decode_batch(lat.copy(), 900, np.array([1, 0]), trained_model, schedule)

@@ -484,21 +484,6 @@ def test_training_rejects_partial_pool():
         distill.train_student(data, only_zero, distill.DistillConfig(epochs=1), Rng(0))
 
 
-def test_training_rejects_unknown_optimizer():
-    data = toydata.sample_dataset(50, Rng(3).split("data"))
-    with pytest.raises(ConfigError):
-        distill.train_student(data, None,
-                              distill.DistillConfig(epochs=1, optimizer="lbfgs"), Rng(0))
-
-
-def test_sgd_momentum_optimizer_trains():
-    data = toydata.sample_dataset(300, Rng(4).split("data"))
-    cfg = distill.DistillConfig(epochs=40, optimizer="sgd", lr=5e-3)
-    student, log = distill.train_student(data, None, cfg, Rng(6))
-    assert log[-1]["total"] < log[0]["total"]
-    assert distill.evaluate(student, data).clean_accuracy >= 0.9
-
-
 # ---------------------------------------------------------------- pgd / evaluate
 
 

@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -36,9 +37,7 @@ SUMMARY = "summary.csv"
 
 
 def _schedule(cfg: dict) -> diffusion.NoiseSchedule:
-    return diffusion.linear_schedule(
-        t_max=cfg["schedule.t_max"], beta_start=cfg["schedule.beta_start"],
-        beta_end=cfg["schedule.beta_end"], ddim_steps=cfg["schedule.ddim_steps"])
+    return config.build(cfg, "schedule", diffusion.linear_schedule)
 
 
 def _require(path: str, hint: str) -> str:
@@ -101,8 +100,7 @@ def cmd_gen_data(cfg: dict, out: str) -> None:
 def cmd_train_cdm(cfg: dict, out: str) -> None:
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
     sched = _schedule(cfg)
-    tc = diffusion.TrainConfig(epochs=cfg["cdm.epochs"], batch_size=cfg["cdm.batch_size"],
-                               lr=cfg["cdm.lr"], label_drop=cfg["cdm.label_drop"])
+    tc = config.build(cfg, "cdm", diffusion.TrainConfig)
     model, losses = diffusion.train_cdm(dataset, sched, tc, Rng(cfg["seed"]).split("cdm"))
     diffusion.save_checkpoint(model, os.path.join(out, CDM_CKPT))
     _write_csv(os.path.join(out, CDM_LOSS), ["epoch", "loss"],
@@ -115,9 +113,7 @@ def cmd_find_te(cfg: dict, out: str) -> None:
     grid = config.grid_from_config(cfg)
     report = canon.find_te(model, sched, toydata.bayes_rule, grid, cfg["te.m"],
                            Rng(cfg["seed"]).split("te"), tol=cfg["te.tol"])
-    _write_json({"grid": report.grid, "accuracies": report.accuracies,
-                 "chosen": report.chosen, "tol": report.tol},
-                os.path.join(out, TE_REPORT))
+    _write_json(asdict(report), os.path.join(out, TE_REPORT))
     _write_csv(os.path.join(out, TE_CURVE), ["t_e", "accuracy"],
                ([t, f"{a:.6f}"] for t, a in zip(report.grid, report.accuracies)))
 
@@ -187,11 +183,7 @@ def cmd_train_student(cfg: dict, out: str) -> None:
     pool = None
     if not vanilla:
         pool = canon.load_bundles(_require(os.path.join(out, POOL_FILE), "pool file"))
-    dc = distill.DistillConfig(
-        tau=cfg["student.tau"], lambda_cs=cfg["student.lambda_cs"],
-        lambda_cf=cfg["student.lambda_cf"], lambda_dist=cfg["student.lambda_dist"],
-        lambda_cka=cfg["student.lambda_cka"], epochs=cfg["student.epochs"],
-        batch_size=cfg["student.batch_size"], lr=cfg["student.lr"])
+    dc = config.build(cfg, "student", distill.DistillConfig)
     student, log = distill.train_student(dataset, pool, dc, Rng(cfg["seed"]).split("student"))
     prefix = "vanilla" if vanilla else "student"
     distill.save_student(student, os.path.join(out, f"{prefix}_checkpoint.json"))
@@ -207,13 +199,9 @@ def cmd_attack(cfg: dict, out: str) -> None:
     student = distill.load_student(
         _require(os.path.join(out, f"{target}_checkpoint.json"), f"{target} checkpoint"))
     eval_data = toydata.sample_dataset(cfg["eval.n"], Rng(cfg["seed"]).split("eval-data"))
-    atk = distill.AttackConfig(epsilon=cfg["attack.epsilon"], steps=cfg["attack.steps"],
-                               step_size=cfg["attack.step_size"])
+    atk = config.build(cfg, "attack", distill.AttackConfig)
     report = distill.evaluate(student, eval_data, atk, Rng(cfg["seed"]).split("attack"))
-    _write_json({"target": target, "clean_accuracy": report.clean_accuracy,
-                 "robust_accuracy": report.robust_accuracy,
-                 "attack": {"epsilon": atk.epsilon, "steps": atk.steps,
-                            "step_size": atk.step_size, "norm": "linf"}},
+    _write_json({"target": target, **asdict(report), "attack": {**asdict(atk), "norm": "linf"}},
                 os.path.join(out, f"metrics_{target}.json"))
 
 

@@ -1,30 +1,38 @@
 """Flat experiment configuration with strict key checking.
 
-Defaults cover every tunable in the pipeline. A JSON config file and
-`--set key=value` overrides may only touch known keys; values are
-coerced to the default's type. Precedence: CLI > file > defaults. The
-resolved map is echoed next to the outputs so any artifact can be
-reproduced from its own directory.
+Defaults cover every tunable in the pipeline. The schedule, cdm, student
+and attack keys are the parameters of the signatures that `build` calls,
+with their defaults. A JSON config file and `--set key=value` overrides
+may only touch known keys; values are coerced to the default's type.
+Precedence: CLI > file > defaults. The resolved map is echoed next to
+the outputs so any artifact can be reproduced from its own directory.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 
+from . import diffusion, distill
 from .errors import ConfigError
+
+
+def _section(prefix: str, fn) -> dict[str, object]:
+    """The key `prefix.name` of each parameter of fn, with its default."""
+    return {f"{prefix}.{name}": p.default for name, p in inspect.signature(fn).parameters.items()}
+
+
+def build(cfg: dict, prefix: str, fn):
+    """Call fn with cfg's `prefix.name` value for each of its parameters."""
+    return fn(**{name: cfg[f"{prefix}.{name}"] for name in inspect.signature(fn).parameters})
+
 
 DEFAULTS: dict[str, object] = {
     "seed": 0,
     "out": "runs/toy",
     "data.n": 1000,
-    "schedule.t_max": 1000,
-    "schedule.beta_start": 1e-4,
-    "schedule.beta_end": 0.02,
-    "schedule.ddim_steps": 100,
-    "cdm.epochs": 1000,
-    "cdm.batch_size": 128,
-    "cdm.lr": 1e-3,
-    "cdm.label_drop": 0.1,
+    **_section("schedule", diffusion.linear_schedule),
+    **_section("cdm", diffusion.TrainConfig),
     "te.m": 200,
     "te.tol": 0.02,
     "te.grid_fractions": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
@@ -36,23 +44,16 @@ DEFAULTS: dict[str, object] = {
     "clarid.class_filter": -1,        # -1 = all classes
     "pool.fraction": 0.1,
     "student.vanilla": False,
-    "student.epochs": 200,
-    "student.batch_size": 128,
-    "student.lr": 1e-3,
-    "student.tau": 0.1,
-    "student.lambda_cs": 0.4,
-    "student.lambda_cf": 0.5,
-    "student.lambda_dist": 1.0,
-    "student.lambda_cka": 0.5,
+    **_section("student", distill.DistillConfig),
     "attack.target": "student",
-    "attack.epsilon": 0.1,
-    "attack.steps": 5,
-    "attack.step_size": 0.05,
+    **_section("attack", distill.AttackConfig),
     "eval.n": 2000,
 }
 
 
 def _coerce(key: str, value: object) -> object:
+    if key not in DEFAULTS:
+        raise ConfigError(f"unknown config key: {key}")
     default = DEFAULTS[key]
     if isinstance(default, bool):
         if isinstance(value, bool):
@@ -79,21 +80,17 @@ def resolve(config_path: str | None = None, overrides: dict[str, object] | None 
     """Merge defaults, an optional JSON file, and override pairs, in that order."""
     cfg = dict(DEFAULTS)
     if config_path is not None:
-        with open(config_path) as f:
-            try:
+        try:
+            with open(config_path) as f:
                 loaded = json.load(f)
-            except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
-                raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
+        except OSError as exc:  # missing, a directory, not readable
+            raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
+            raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a flat JSON object")
-        for key, value in loaded.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key: {key}")
-            cfg[key] = _coerce(key, value)
-    for key, value in (overrides or {}).items():
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key: {key}")
-        cfg[key] = _coerce(key, value)
+        cfg.update((key, _coerce(key, value)) for key, value in loaded.items())
+    cfg.update((key, _coerce(key, value)) for key, value in (overrides or {}).items())
     return cfg
 
 
@@ -109,9 +106,15 @@ def parse_set_args(pairs: list[str]) -> dict[str, object]:
 
 
 def grid_from_config(cfg: dict) -> list[int]:
-    t_max = cfg["schedule.t_max"]
-    fractions = [float(s) for s in str(cfg["te.grid_fractions"]).split(",") if s.strip()]
-    grid = sorted({round(f * t_max) for f in fractions})
+    grid = set()
+    for entry in filter(str.strip, str(cfg["te.grid_fractions"]).split(",")):
+        try:
+            fraction = float(entry)
+        except ValueError:
+            fraction = float("nan")
+        if not 0.0 <= fraction <= 1.0:  # NaN fails too
+            raise ConfigError(f"te.grid_fractions: {entry.strip()!r} is not a number in [0, 1]")
+        grid.add(round(fraction * cfg["schedule.t_max"]))
     if not grid:
         raise ConfigError("te.grid_fractions is empty")
-    return grid
+    return sorted(grid)

@@ -369,14 +369,13 @@ def train_cdm(data: ToyDataset, sched: NoiseSchedule, cfg: TrainConfig, rng: Rng
     if len(data) == 0:
         raise InvalidInputError("empty dataset")
     model = CondDenoiser(rng.split("init"))
-    params = model.parameters()
-    opt = ad.Adam(params, lr=cfg.lr)
+    opt = ad.Adam(model.parameters(), lr=cfg.lr)
     train_rng = rng.split("train")
     xs, ys = data.xs, data.ys
     n = len(data)
     losses = []
-    averages = [np.zeros_like(p.data) for p in params]
-    zero_share = 1.0  # weight the all-zero start still holds in the averages
+    average = np.zeros_like(opt.flat)  # of all parameters, in the optimizer's flat layout
+    zero_share = 1.0  # weight the all-zero start still holds in the average
     for epoch in range(cfg.epochs):
         order = train_rng.permutation(n)
         epoch_loss, batches = 0.0, 0
@@ -399,12 +398,10 @@ def train_cdm(data: ToyDataset, sched: NoiseSchedule, cfg: TrainConfig, rng: Rng
         losses.append(epoch_loss / batches)
         decay = min(EMA_DECAY, (1.0 + epoch) / (10.0 + epoch))
         zero_share *= decay
-        for avg, p in zip(averages, params):
-            avg *= decay
-            avg += (1.0 - decay) * p.data
+        average *= decay
+        average += (1.0 - decay) * opt.flat
     if cfg.epochs > 0:
-        for avg, p in zip(averages, params):
-            p.data = avg / (1.0 - zero_share)
+        opt.flat[:] = average / (1.0 - zero_share)
     return model, losses
 
 

@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import filecmp
+import functools
 import hashlib
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from diffcanon import canon, cli, config, diffusion
+from diffcanon import canon, cli, config, diffusion, distill
 
 REDUCED = [
     "--set", "data.n=400",
@@ -67,6 +70,27 @@ GOLDEN_SHA256 = {
     "metrics_vanilla.json": "81c01ec6ac424d92e1d5baf9ed3263985958485948fb96dc067e7c5cb933c6ee",
     "summary.csv": "52cbeb3a75cb8696d0ce1084d862e05ead139134126af721bc8c1196f98a684f",
 }
+
+# Old echoes and perfbench's checks read config keys by name; a key of
+# the schedule/cdm/student/attack sections is named after a parameter of
+# the signature it configures, so renaming that parameter renames the key.
+CONFIG_KEYS = {
+    "seed", "out", "data.n",
+    "schedule.t_max", "schedule.beta_start", "schedule.beta_end", "schedule.ddim_steps",
+    "cdm.epochs", "cdm.batch_size", "cdm.lr", "cdm.label_drop",
+    "te.m", "te.tol", "te.grid_fractions",
+    "clarid.t_e", "clarid.cfg_scale", "clarid.t_r", "clarid.layer", "clarid.n_samples",
+    "clarid.class_filter",
+    "pool.fraction",
+    "student.vanilla", "student.tau", "student.lambda_cs", "student.lambda_cf",
+    "student.lambda_dist", "student.lambda_cka", "student.epochs", "student.batch_size",
+    "student.lr",
+    "attack.target", "attack.epsilon", "attack.steps", "attack.step_size",
+    "eval.n",
+}
+
+SECTIONS = [("schedule", diffusion.linear_schedule), ("cdm", diffusion.TrainConfig),
+            ("student", distill.DistillConfig), ("attack", distill.AttackConfig)]
 
 ECHOES = [
     "gen-data", "train-cdm", "find-te", "clarid", "eval-features",
@@ -147,9 +171,29 @@ def test_config_precedence_cli_over_file_over_defaults(tmp_path):
 
 
 def test_every_config_key_is_read():
-    # a key that no stage reads is still accepted and echoed, and does nothing
+    # a key that no stage reads is still accepted and echoed, and does nothing.
+    # A section's keys are read when cli builds its signature through config.build.
+    built = re.findall(r'config\.build\(cfg, "(\w+)", ([\w.]+)\)', inspect.getsource(cli))
+    sections = re.findall(r'_section\("(\w+)", ([\w.]+)\)', inspect.getsource(config))
+    assert sorted(set(built)) == sorted(sections)
+    read = {f"{prefix}.{name}" for prefix, fn in built
+            for name in inspect.signature(functools.reduce(getattr, fn.split("."), cli)).parameters}
     source = inspect.getsource(cli) + inspect.getsource(config)
-    assert [key for key in config.DEFAULTS if f'cfg["{key}"]' not in source] == []
+    assert [key for key in config.DEFAULTS
+            if f'cfg["{key}"]' not in source and key not in read] == []
+
+
+def test_config_key_names_are_pinned():
+    assert set(config.DEFAULTS) == CONFIG_KEYS
+
+
+@pytest.mark.parametrize("prefix,fn", SECTIONS)
+def test_build_from_the_defaults_equals_the_signature_defaults(prefix, fn):
+    built, default = config.build(config.DEFAULTS, prefix, fn), fn()
+    assert type(built) is type(default)
+    for field in dataclasses.fields(default):
+        a, b = getattr(built, field.name), getattr(default, field.name)
+        assert type(a) is type(b) and np.array_equal(a, b), field.name
 
 
 def test_config_file_with_unknown_key_rejected(tmp_path, capsys):
@@ -168,6 +212,11 @@ def test_malformed_config_file_fails_with_config_error(tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err
         assert "code=CONFIG_ERROR" in err and str(cfg_file) in err
+    for path in (tmp_path / "missing.json", tmp_path):  # no file, and a directory
+        rc = cli.main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "code=CONFIG_ERROR" in err and str(path) in err
 
 
 @pytest.mark.parametrize("size", [0, -1])
@@ -314,6 +363,15 @@ def test_clarid_refuses_an_empty_selection(recipe_dir, tmp_path, capsys, selecti
     assert run("clarid", str(tmp_path), "--set", selection) == 1
     assert "code=CONFIG_ERROR" in capsys.readouterr().err
     assert not (tmp_path / "bundles.jsonl").exists()
+
+
+@pytest.mark.parametrize("entry", ["abc", "nan", "inf", "2", "-0.1"])
+def test_find_te_refuses_a_malformed_grid_fraction(recipe_dir, tmp_path, capsys, entry):
+    copy_artifacts(recipe_dir, tmp_path, "cdm_checkpoint.json")
+    assert run("find-te", str(tmp_path), "--set", f"te.grid_fractions=0.5,{entry}") == 1
+    err = capsys.readouterr().err
+    assert "code=CONFIG_ERROR" in err and f"te.grid_fractions: {entry!r}" in err
+    assert not (tmp_path / "te_report.json").exists()
 
 
 def test_clarid_inverts_once_to_t_e_and_once_to_t_r(recipe_dir, tmp_path, monkeypatch):

@@ -256,15 +256,20 @@ def atomic_write(path: str):
 def load_params(path: str, fmt: str, build):
     """Read a save_params checkpoint into the model `build(**meta)` returns.
 
-    The format tag must be `fmt`, and every parameter the built model
-    names must be stored with the shape the model gives it.
+    It must be a JSON object: the format tag `fmt`, metadata that `build` takes,
+    and a `params` object with each parameter the model names, in the model's shape.
     """
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("format") != fmt:
-        raise InvalidInputError(f"unexpected checkpoint format: {payload.get('format')}")
-    model = build(**{k: v for k, v in payload.items() if k not in ("format", "params")})
-    stored = payload.get("params", {})
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+        if not isinstance(payload, dict) or not isinstance(payload.get("params"), dict):
+            raise ValueError("not a JSON object with a params object")
+        if payload.get("format") != fmt:
+            raise ValueError(f"unexpected checkpoint format: {payload.get('format')}")
+        model = build(**{k: v for k, v in payload.items() if k not in ("format", "params")})
+    except (TypeError, ValueError, ArithmeticError) as exc:  # not JSON, or metadata build refuses
+        raise InvalidInputError(f"checkpoint {path}: {exc}") from exc
+    stored = payload["params"]
     for name in model.PARAM_NAMES:
         if name not in stored:
             raise InvalidInputError(f"checkpoint {path} has no parameter {name}")
@@ -272,10 +277,10 @@ def load_params(path: str, fmt: str, build):
             value = np.asarray(stored[name], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(
-                f"checkpoint parameter {name} is not a numeric array") from exc
+                f"checkpoint {path} parameter {name} is not a numeric array") from exc
         p = getattr(model, name)
         if value.shape != p.data.shape:
-            raise InvalidInputError(f"checkpoint parameter {name} has shape {value.shape}, "
-                                    f"the model needs {p.data.shape}")
+            raise InvalidInputError(f"checkpoint {path} parameter {name} has shape "
+                                    f"{value.shape}, the model needs {p.data.shape}")
         p.data = value
     return model

@@ -64,11 +64,11 @@ class FeatureQualityReport:
     within_class_var: dict[int, float]
 
 
-def jacobian(model, xs, t: int, conds, layer: int = 2) -> np.ndarray:
+def jacobian(model, xs, t: int, conds) -> np.ndarray:
     """Exact (B, feature_dim, input_dim) Jacobians of the hidden features wrt xs."""
     if t < 1:
         raise InvalidInputError("jacobian requires t >= 1")
-    j = np.stack([model.feature_jvp(xs, t, conds, e, layer) for e in np.eye(np.shape(xs)[-1])],
+    j = np.stack([model.feature_jvp(xs, t, conds, e) for e in np.eye(np.shape(xs)[-1])],
                  axis=-1)
     if not np.all(np.isfinite(j)):
         raise NumericalError("non-finite activations in jacobian")
@@ -111,9 +111,9 @@ def project_out(x_te, basis: ExtraneousBasis, k) -> np.ndarray:
 
 
 def read_features(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser, sched: NoiseSchedule,
-                  t_r: int, layer: int) -> np.ndarray:
-    """Hidden features of samples under their labels: invert to t_r, read the layer."""
-    return model.hidden(invert_batch(xs, t_r, ys, model, sched), t_r, ys, layer)
+                  t_r: int) -> np.ndarray:
+    """Hidden features of samples under their labels: invert to t_r, read them."""
+    return model.hidden(invert_batch(xs, t_r, ys, model, sched), t_r, ys)
 
 
 # Rows per Jacobian/SVD/projection block: feature_jvp keeps about seven (rows, 80)
@@ -123,8 +123,7 @@ _BLOCK_ROWS = 256
 
 def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
                        sched: NoiseSchedule, t_e: int, cfg_scale: float = 1.0,
-                       t_r: int | None = None,
-                       layer: int = 2) -> tuple[Bundles, np.ndarray]:
+                       t_r: int | None = None) -> tuple[Bundles, np.ndarray]:
     """Run the full extraction pipeline over a batch of labeled samples.
 
     Returns the bundles, with row i's seed_sample_id = i, and the (N, d)
@@ -142,12 +141,12 @@ def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
     ks = np.empty(len(xs), dtype=np.int64)
     for lo in range(0, len(xs), _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        basis = extraneous_directions(jacobian(model, x_te[rows], t_e, ys[rows], layer),
+        basis = extraneous_directions(jacobian(model, x_te[rows], t_e, ys[rows]),
                                       x_te.shape[1])
         ks[rows] = select_k(evr_sequence(basis))
         latents[rows] = project_out(x_te[rows], basis, ks[rows])
     samples = decode_batch(latents, t_e, ys, model, sched, cfg_scale)
-    feats = read_features(samples, ys, model, sched, t_r, layer)
+    feats = read_features(samples, ys, model, sched, t_r)
     n = len(xs)
     return Bundles(seed_sample_id=np.arange(n), t_e=np.full(n, t_e, dtype=np.int64), k=ks,
                    cond=ys.copy(), latent=latents, canonical_sample=samples,

@@ -85,7 +85,7 @@ def _canonicalize(cfg: dict, model, sched, t_e: int, xs, ys, idx,
     """
     bundles, x_te = canon.canonicalize_batch(xs[idx], ys[idx], model, sched, t_e,
                                              cfg_scale=cfg["clarid.cfg_scale"],
-                                             t_r=cfg["clarid.t_r"], layer=cfg["clarid.layer"])
+                                             t_r=cfg["clarid.t_r"])
     bundles.seed_sample_id = np.asarray(idx, dtype=np.int64)
     canon.save_bundles(bundles, path)
     return bundles, x_te
@@ -152,8 +152,7 @@ def cmd_eval_features(cfg: dict, out: str) -> None:
     if np.any((ids < 0) | (ids >= len(dataset))):
         raise InvalidInputError(f"{path} names samples outside the {len(dataset)} dataset rows")
     sched = _schedule(cfg)
-    orig_feats = canon.read_features(dataset.xs[ids], labels, model, sched,
-                                     cfg["clarid.t_r"], cfg["clarid.layer"])
+    orig_feats = canon.read_features(dataset.xs[ids], labels, model, sched, cfg["clarid.t_r"])
     k = len(np.unique(labels))
     rng = Rng(cfg["seed"])
     payload = {}

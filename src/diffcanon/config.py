@@ -39,7 +39,6 @@ DEFAULTS: dict[str, object] = {
     "clarid.t_e": 0,                  # 0 = read the chosen value from the search report
     "clarid.cfg_scale": 1.0,          # 1 = no guidance
     "clarid.t_r": 100,
-    "clarid.layer": 2,
     "clarid.n_samples": 100,
     "clarid.class_filter": -1,        # -1 = all classes
     "pool.fraction": 0.1,
@@ -63,16 +62,16 @@ def _coerce(key: str, value: object) -> object:
         if str(value).lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"cannot parse boolean for {key}: {value!r}")
-    if isinstance(default, int):
+    if isinstance(default, (int, float)):
+        kind = type(default)
+        refused = ConfigError(f"cannot parse {kind.__name__} for {key}: {value!r}")
+        # int() and float() would read a JSON true as 1, and int() would cut 1.5 to 1
+        if isinstance(value, bool) or kind is int and isinstance(value, float) and value % 1:
+            raise refused
         try:
-            return int(value)
+            return kind(value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot parse integer for {key}: {value!r}") from exc
-    if isinstance(default, float):
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"cannot parse number for {key}: {value!r}") from exc
+            raise refused from exc
     return str(value)
 
 

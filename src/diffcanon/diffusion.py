@@ -295,22 +295,16 @@ class CondDenoiser:
         """Noise prediction, batched, pure numpy (no graph)."""
         return self._forward(x, t, cond)["out"]
 
-    def hidden(self, x, t, cond, layer: int = 2) -> np.ndarray:
-        """Post-activation hidden features of the chosen layer (1 or 2)."""
-        if layer not in (1, 2):
-            raise InvalidInputError(f"layer must be 1 or 2, got {layer}")
-        h = self._forward(x, t, cond)[f"h{layer}"]
+    def hidden(self, x, t, cond) -> np.ndarray:
+        """Post-activation features of the second hidden layer, the features every stage reads."""
+        h = self._forward(x, t, cond)["h2"]
         return h if self._workspace is None else h.copy()
 
-    def feature_jvp(self, x, t, cond, v: np.ndarray, layer: int = 2) -> np.ndarray:
-        """Directional derivative of hidden(layer) along v in data space, per point of x."""
-        if layer not in (1, 2):
-            raise InvalidInputError(f"layer must be 1 or 2, got {layer}")
+    def feature_jvp(self, x, t, cond, v: np.ndarray) -> np.ndarray:
+        """Directional derivative of hidden along v in data space, per point of x."""
         c = self._cache(x, t, cond)
         dh = _silu_deriv(c["a1"], c["s1"]) * (np.asarray(v, dtype=np.float64) @ self.W1.data[:2])
-        if layer == 2:
-            dh = _silu_deriv(c["a2"], c["s2"]) * (dh @ self.W2.data)
-        return dh
+        return _silu_deriv(c["a2"], c["s2"]) * (dh @ self.W2.data)
 
     def eps_graph(self, x_t: np.ndarray, t: np.ndarray, cond: np.ndarray) -> Tensor:
         """Noise prediction as one tape node over the 7 parameters, for training.

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError
 from .rng import Rng
 
 
@@ -112,27 +112,6 @@ def nmi(assignments, labels) -> float:
     if denom == 0.0:
         return 0.0
     return min(max(mi / denom, 0.0), 1.0)
-
-
-def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
-    """Linear centered kernel alignment between two feature matrices.
-
-    Rows are samples; column counts may differ. Invariant to orthogonal
-    right-multiplication and positive isotropic scaling of either input.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise InvalidInputError("linear_cka expects matrices with the same row count")
-    if x.shape[0] < 2:
-        raise InvalidInputError("linear_cka needs at least 2 rows")
-    xc = x - x.mean(axis=0, keepdims=True)
-    yc = y - y.mean(axis=0, keepdims=True)
-    xn = np.linalg.norm(xc.T @ xc)
-    yn = np.linalg.norm(yc.T @ yc)
-    if xn == 0.0 or yn == 0.0:
-        raise DegenerateInputError("constant features have zero centered norm")
-    return float(np.linalg.norm(yc.T @ xc) ** 2 / (xn * yn))
 
 
 def elbow_index(s):

@@ -4,7 +4,8 @@ The student forward and each distillation loss term run in `distill` as
 one `autodiff.fused` node with a closed-form backward, and the denoising
 loss as one `autodiff.mse` node. The functions here build the same
 values from elementwise tape ops, so `backward()` differentiates them op
-by op; the tests check the fused nodes against them. The tape ops (sub,
+by op; the tests check the fused nodes against them, and the CKA term
+also against the plain numpy `linear_cka`. The tape ops (sub,
 sum_, mean, relu, silu, clamp_max, logsumexp, concat, embedding, and exp,
 log, sqrt, power, div, neg, transpose) have no caller in the program;
 the per-op denoiser graph in `test_diffusion.py` and the
@@ -191,6 +192,28 @@ def cluster_loss(z_canon: Tensor, labels, tau: float) -> Tensor:
     pos_part = sum_(log_prob * pos, axis=1) * Tensor(-weights)
     fallback = log_denom * Tensor((~has_pos).astype(np.float64))
     return mean(pos_part + fallback)
+
+
+def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
+    """Linear centered kernel alignment between two feature matrices, in numpy.
+
+    Rows are samples; column counts may differ. Invariant to orthogonal
+    right-multiplication and positive isotropic scaling of either input.
+    The value `distill.cka_distill_loss` is checked against.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise InvalidInputError("linear_cka expects matrices with the same row count")
+    if x.shape[0] < 2:
+        raise InvalidInputError("linear_cka needs at least 2 rows")
+    xc = x - x.mean(axis=0, keepdims=True)
+    yc = y - y.mean(axis=0, keepdims=True)
+    xn = np.linalg.norm(xc.T @ xc)
+    yn = np.linalg.norm(yc.T @ yc)
+    if xn == 0.0 or yn == 0.0:
+        raise DegenerateInputError("constant features have zero centered norm")
+    return float(np.linalg.norm(yc.T @ xc) ** 2 / (xn * yn))
 
 
 def cka_graph(x: Tensor, y: np.ndarray) -> Tensor:

@@ -14,6 +14,8 @@ import time
 import numpy as np
 import pytest
 
+import exact_oracle
+import tape_oracle as oracle
 from diffcanon import canon, cli, diffusion, distill, numerics, toydata
 from diffcanon import autodiff as ad
 from diffcanon.autodiff import Tensor
@@ -67,7 +69,7 @@ def class1_run(trained_model, dataset, schedule, chosen_te):
 @pytest.fixture(scope="module")
 def exact_class1_run(dataset, schedule, chosen_te):
     """The same run on the exact posterior noise prediction of the toy process."""
-    return class1_canonicalization(toydata.ExactDenoiser(schedule.alpha_bar), dataset,
+    return class1_canonicalization(exact_oracle.ExactDenoiser(schedule.alpha_bar), dataset,
                                    schedule, chosen_te)
 
 
@@ -78,7 +80,7 @@ def mixed_quality(trained_model, dataset, schedule, chosen_te):
     canon_feats = bundles.canonical_feature
     t_r = max(1, round(0.1 * schedule.t_max))
     orig_lat = diffusion.invert_batch(xs, t_r, ys, trained_model, schedule)
-    orig_feats = trained_model.hidden(orig_lat, t_r, ys, 2)
+    orig_feats = trained_model.hidden(orig_lat, t_r, ys)
     q_canon = canon.feature_quality(canon_feats, ys, 2, Rng(0).split("fq-canon"))
     q_orig = canon.feature_quality(orig_feats, ys, 2, Rng(0).split("fq-orig"))
     return q_canon, q_orig
@@ -291,8 +293,8 @@ def test_criterion_4_oracle_suites(capsys):
         a = rng.normal(size=(9, 6))
         lam = float(rng.uniform())
         got = distill.cka_distill_loss(Tensor(z), Tensor(zc), a, lam).item()
-        want = (lam * math.log(1.0 - numerics.linear_cka(z, a))
-                + (1.0 - lam) * math.log(1.0 - numerics.linear_cka(zc, a)))
+        want = (lam * math.log(1.0 - oracle.linear_cka(z, a))
+                + (1.0 - lam) * math.log(1.0 - oracle.linear_cka(zc, a)))
         recomb_worst = max(recomb_worst, abs(got - want))
     ok = (elbow_exact == 1000 and nmi_worst <= 1e-10
           and contrast_worst <= 1e-8 and recomb_worst <= 1e-10)
@@ -415,10 +417,10 @@ def test_criterion_5_numerical_checks(schedule, capsys):
         x = rng.normal(size=(20, 5))
         y = rng.normal(size=(20, 7))
         q = np.linalg.qr(rng.normal(size=(5, 5)))[0]
-        base = numerics.linear_cka(x, y)
+        base = oracle.linear_cka(x, y)
         cka_worst = max(cka_worst,
-                        abs(numerics.linear_cka(x @ q, y) - base),
-                        abs(numerics.linear_cka(2.7 * x, y) - base))
+                        abs(oracle.linear_cka(x @ q, y) - base),
+                        abs(oracle.linear_cka(2.7 * x, y) - base))
 
     # projection idempotence and orthogonality
     proj_worst = 0.0

@@ -266,6 +266,12 @@ DAMAGE = {
     "missing": "no parameter b3",
     "reshaped": "W1 has shape",
     "ragged": "W2 is not a numeric array",
+    "not-json": "Expecting",
+    "list": "not a JSON object",
+    "params-number": "params object",
+    "unknown-key": "unexpected keyword argument 'bogus'",
+    "text-width": "'str' object cannot be interpreted as an integer",
+    "zero-width": "division by zero",
 }
 
 
@@ -283,11 +289,21 @@ def test_checkpoint_loader_refuses_damaged_file(tmp_path, kind, damage):
         del params["b3"]
     elif damage == "reshaped":
         params["W1"] = params["W1"][:-1]
-    else:
+    elif damage == "ragged":
         params["W2"][0] = params["W2"][0][:-1]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(InvalidInputError, match=DAMAGE[damage]):
+    elif damage == "unknown-key":
+        payload["bogus"] = 1
+    elif damage == "text-width":
+        payload["hidden_dim"] = str(payload["hidden_dim"])
+    elif damage == "zero-width":
+        payload["hidden_dim"] = 0
+    elif damage == "params-number":
+        payload["params"] = 5
+    text = json.dumps([payload] if damage == "list" else payload)
+    path.write_text(text[:-1] if damage == "not-json" else text)
+    with pytest.raises(InvalidInputError, match=DAMAGE[damage]) as refused:
         load(str(path))
+    assert str(path) in str(refused.value)
 
 
 @pytest.mark.parametrize("kind", sorted(CODECS))

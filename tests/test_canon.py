@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_oracle
 from diffcanon import canon, toydata
 from diffcanon.diffusion import decode_batch
 from diffcanon.errors import DegenerateInputError, InvalidInputError
@@ -15,16 +16,16 @@ from diffcanon.rng import Rng
 
 
 class LinearFeatureModel:
-    """Stub whose layer features are an exact linear map of the input."""
+    """Stub whose features are an exact linear map of the input."""
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=np.float64)
         self.n_classes = 2
 
-    def hidden(self, x, t, cond, layer=2):
+    def hidden(self, x, t, cond):
         return (np.atleast_2d(x) @ self.a.T)
 
-    def feature_jvp(self, x, t, cond, v, layer=2):
+    def feature_jvp(self, x, t, cond, v):
         return np.tile(self.a @ np.asarray(v), (len(np.atleast_2d(x)), 1))
 
 
@@ -362,7 +363,8 @@ def mixed_batch(dataset):
 
 @pytest.mark.parametrize("denoiser", ["trained", "exact"])
 def test_canonicalize_batch_equals_per_row_calls(denoiser, trained_model, schedule, dataset):
-    model = trained_model if denoiser == "trained" else toydata.ExactDenoiser(schedule.alpha_bar)
+    model = (trained_model if denoiser == "trained"
+             else exact_oracle.ExactDenoiser(schedule.alpha_bar))
     x, y = mixed_batch(dataset)
     batch, _ = canon.canonicalize_batch(x, y, model, schedule, t_e=600)
     assert np.all(batch.k == 1)

@@ -79,8 +79,7 @@ CONFIG_KEYS = {
     "schedule.t_max", "schedule.beta_start", "schedule.beta_end", "schedule.ddim_steps",
     "cdm.epochs", "cdm.batch_size", "cdm.lr", "cdm.label_drop",
     "te.m", "te.tol", "te.grid_fractions",
-    "clarid.t_e", "clarid.cfg_scale", "clarid.t_r", "clarid.layer", "clarid.n_samples",
-    "clarid.class_filter",
+    "clarid.t_e", "clarid.cfg_scale", "clarid.t_r", "clarid.n_samples", "clarid.class_filter",
     "pool.fraction",
     "student.vanilla", "student.tau", "student.lambda_cs", "student.lambda_cf",
     "student.lambda_dist", "student.lambda_cka", "student.epochs", "student.batch_size",
@@ -202,6 +201,22 @@ def test_config_file_with_unknown_key_rejected(tmp_path, capsys):
     rc = cli.main(["gen-data", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "code=CONFIG_ERROR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("data.n", 1.5), ("data.n", True), ("data.n", float("inf")),
+                                       ("cdm.lr", True), ("student.epochs", -0.5)])
+def test_config_file_number_of_the_wrong_kind_is_refused(tmp_path, capsys, key, value):
+    # int() would cut 1.5 to 1 and read true as 1; float() would read true as 1.0
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    rc = cli.main(["gen-data", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "code=CONFIG_ERROR" in err and key in err
+    cfg_file.write_text(json.dumps({"data.n": 20.0, "cdm.lr": 1}))  # whole numbers are taken
+    resolved = config.resolve(str(cfg_file))
+    assert type(resolved["data.n"]) is int and type(resolved["cdm.lr"]) is float
+    assert (resolved["data.n"], resolved["cdm.lr"]) == (20, 1.0)
 
 
 def test_malformed_config_file_fails_with_config_error(tmp_path, capsys):
@@ -413,6 +428,13 @@ def test_eval_features_refuses_an_empty_bundle_file(recipe_dir, tmp_path, capsys
     assert "code=INVALID_INPUT" in capsys.readouterr().err
 
 
+def test_find_te_refuses_a_checkpoint_that_is_not_a_json_object(tmp_path, capsys):
+    (tmp_path / "cdm_checkpoint.json").write_text("[]")
+    assert run("find-te", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "code=INVALID_INPUT" in err and "cdm_checkpoint.json" in err
+
+
 def test_train_student_folds_a_trailing_one_row_batch(recipe_dir, tmp_path, capsys):
     # 129 rows at batch size 128 would leave a last batch of one row, which
     # has no cluster peer and no CKA; that row joins the batch before it
@@ -428,7 +450,7 @@ def test_train_student_folds_a_trailing_one_row_batch(recipe_dir, tmp_path, caps
 
 @pytest.mark.parametrize("key,value", [("schedule.ddim_eta", 0.0), ("attack.norm", "linf"),
                                        ("cdm.weight_decay", 0.0), ("student.optimizer", "adam"),
-                                       ("student.momentum", 0.9)])
+                                       ("student.momentum", 0.9), ("clarid.layer", 2)])
 def test_echo_with_a_deleted_key_is_refused(recipe_dir, tmp_path, capsys, key, value):
     # an echo written while the key existed still holds it
     with open(os.path.join(recipe_dir, "resolved_config.clarid.json")) as f:

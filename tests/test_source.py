@@ -1,0 +1,65 @@
+"""Guard: the program's source holds only what the program itself refers to.
+
+Code that only the tests call belongs beside the tests (`tape_oracle.py`,
+`exact_oracle.py`), not in `src/diffcanon/`.
+"""
+
+import ast
+import io
+import tokenize
+from collections import defaultdict
+from pathlib import Path
+
+import diffcanon
+
+SRC = Path(diffcanon.__file__).parent
+
+# The definitions no code in src/ refers to by name, and why each stays.
+UNREFERENCED = {
+    "SgdMomentum": "perfbench hook",
+    "trajectory": "reached by getattr in _walk",
+}
+
+
+def definitions(tree: ast.Module):
+    """(name, first line, last line) of every top-level function and class, and of
+    every method but the dunder ones, which Python calls without naming them."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def unreferenced_definitions() -> set[str]:
+    """Names of the definitions that no NAME token outside their own body refers to.
+
+    A token inside a definition found unreferenced does not count either, so
+    the search repeats until it drops nothing more.
+    """
+    defs, uses = [], defaultdict(list)  # uses: name -> (file, line) of each NAME token
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        defs += [(path.name, *d) for d in definitions(ast.parse(text))]
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                uses[tok.string].append((path.name, tok.start[0]))
+
+    def inside(use, d):
+        return use[0] == d[0] and d[2] <= use[1] <= d[3]
+
+    dropped: set[tuple] = set()
+    while True:
+        newly = {d for d in defs if d not in dropped
+                 and not any(not inside(use, d) and not any(inside(use, x) for x in dropped)
+                             for use in uses[d[1]])}
+        if not newly:
+            return {d[1] for d in dropped}
+        dropped |= newly
+
+
+def test_every_definition_in_src_has_a_caller_in_src():
+    assert unreferenced_definitions() == set(UNREFERENCED)

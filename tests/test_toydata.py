@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_oracle
 from diffcanon import toydata
 from diffcanon.errors import InvalidInputError
 from diffcanon.rng import Rng
@@ -168,7 +169,7 @@ def test_exact_posterior_matches_importance_weighted_monte_carlo(schedule, prior
     for y in (0, 1, None):
         x0 = x0_all if y is None else x0_all[y_all == y]
         x_t = (x_t_all if y is None else x_t_all[points.ys == y])[:4]
-        got = toydata.exact_posterior_eps(x_t, a, y)
+        got = exact_oracle.exact_posterior_eps(x_t, a, y)
         for i, xt in enumerate(x_t):
             eps_i = (xt - np.sqrt(a) * x0) / np.sqrt(1 - a)
             log_w = -0.5 * np.sum(eps_i ** 2, axis=1)
@@ -186,15 +187,15 @@ def test_exact_posterior_mirror_symmetry(schedule):
     mirrored = xs * np.array([1.0, -1.0])
     for t in (1, 50, 500, 1000):
         for y in (0, 1, None):
-            e = toydata.exact_posterior_eps(xs, schedule.alpha_bar[t], y)
-            m = toydata.exact_posterior_eps(mirrored, schedule.alpha_bar[t], y)
+            e = exact_oracle.exact_posterior_eps(xs, schedule.alpha_bar[t], y)
+            m = exact_oracle.exact_posterior_eps(mirrored, schedule.alpha_bar[t], y)
             scale = max(1.0, float(np.max(np.abs(e))))
             assert np.max(np.abs(m[:, 0] - e[:, 0])) <= 1e-12 * scale
             assert np.max(np.abs(m[:, 1] + e[:, 1])) <= 1e-12 * scale
 
 
 def test_exact_denoiser_jvp_matches_finite_difference(schedule):
-    model = toydata.ExactDenoiser(schedule.alpha_bar)
+    model = exact_oracle.ExactDenoiser(schedule.alpha_bar)
     # points each condition can produce; the unconditional one also gets
     # the point between the classes
     points = {0: [[0.1, -0.08], [0.35, 0.12]], 1: [[4.05, 0.04], [4.4, -0.15]]}
@@ -212,14 +213,14 @@ def test_exact_denoiser_jvp_matches_finite_difference(schedule):
 
 
 def test_exact_denoiser_batches_mixed_timesteps_and_conditions(schedule):
-    model = toydata.ExactDenoiser(schedule.alpha_bar)
+    model = exact_oracle.ExactDenoiser(schedule.alpha_bar)
     xs = Rng(73).normal((6, 2)) + np.array([2.0, 0.0])
     t = np.array([5, 400, 5, 400, 900, 5])
     cond = np.array([0, 1, 2, 2, 1, 0])
     got = model.eps(xs, t, cond)
     for i in range(6):
         y = None if cond[i] == model.null_id else int(cond[i])
-        want = toydata.exact_posterior_eps(xs[i], schedule.alpha_bar[t[i]], y)
+        want = exact_oracle.exact_posterior_eps(xs[i], schedule.alpha_bar[t[i]], y)
         assert np.allclose(got[i], want[0], rtol=0, atol=1e-12)
     assert np.array_equal(model.hidden(xs, t, cond), got)
     with pytest.raises(InvalidInputError):
@@ -227,4 +228,4 @@ def test_exact_denoiser_batches_mixed_timesteps_and_conditions(schedule):
     with pytest.raises(InvalidInputError):
         model.eps(xs[:1], 10, 3)
     with pytest.raises(InvalidInputError):
-        toydata.exact_posterior_eps(xs, 1.0, 1)
+        exact_oracle.exact_posterior_eps(xs, 1.0, 1)

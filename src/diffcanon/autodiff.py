@@ -257,7 +257,8 @@ def load_params(path: str, fmt: str, build):
     """Read a save_params checkpoint into the model `build(**meta)` returns.
 
     It must be a JSON object: the format tag `fmt`, metadata that `build` takes,
-    and a `params` object with each parameter the model names, in the model's shape.
+    and a `params` object with each parameter the model names, finite and in the
+    model's shape.
     """
     try:
         with open(path) as f:
@@ -282,5 +283,7 @@ def load_params(path: str, fmt: str, build):
         if value.shape != p.data.shape:
             raise InvalidInputError(f"checkpoint {path} parameter {name} has shape "
                                     f"{value.shape}, the model needs {p.data.shape}")
+        if not np.all(np.isfinite(value)):
+            raise InvalidInputError(f"checkpoint {path} parameter {name} is not finite")
         p.data = value
     return model

@@ -58,12 +58,6 @@ class TeSearchReport:
     tol: float
 
 
-@dataclass
-class FeatureQualityReport:
-    nmi: float
-    within_class_var: dict[int, float]
-
-
 def jacobian(model, xs, t: int, conds) -> np.ndarray:
     """Exact (B, feature_dim, input_dim) Jacobians of the hidden features wrt xs."""
     if t < 1:
@@ -122,8 +116,8 @@ _BLOCK_ROWS = 256
 
 
 def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
-                       sched: NoiseSchedule, t_e: int, cfg_scale: float = 1.0,
-                       t_r: int | None = None) -> tuple[Bundles, np.ndarray]:
+                       sched: NoiseSchedule, t_e: int, cfg_scale: float = 1.0, *,
+                       t_r: int) -> tuple[Bundles, np.ndarray]:
     """Run the full extraction pipeline over a batch of labeled samples.
 
     Returns the bundles, with row i's seed_sample_id = i, and the (N, d)
@@ -134,8 +128,6 @@ def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_1d(np.asarray(ys, dtype=np.int64))
-    if t_r is None:
-        t_r = max(1, round(0.1 * sched.t_max))
     x_te = invert_batch(xs, t_e, ys, model, sched)
     latents = np.empty_like(x_te)
     ks = np.empty(len(xs), dtype=np.int64)
@@ -243,14 +235,8 @@ def load_bundles(path: str) -> Bundles:
     return Bundles(**columns)
 
 
-def feature_quality(features: np.ndarray, labels, k_clusters: int,
-                    rng: Rng) -> FeatureQualityReport:
-    """Cluster the features and score agreement with the labels.
-
-    Reports the normalized mutual information between k-means
-    assignments and labels, plus the per-class feature variance of
-    within_class_var.
-    """
+def feature_quality(features: np.ndarray, labels, k_clusters: int, rng: Rng) -> float:
+    """Normalized mutual information of the features' k-means clusters with the labels."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     classes = np.unique(labels)
@@ -258,8 +244,7 @@ def feature_quality(features: np.ndarray, labels, k_clusters: int,
         raise InvalidInputError(
             f"k_clusters must equal the number of distinct labels ({len(classes)})")
     assignments, _ = kmeans(features, k_clusters, rng)
-    return FeatureQualityReport(nmi=nmi(assignments, labels),
-                                within_class_var=within_class_var(features, labels))
+    return nmi(assignments, labels)
 
 
 def within_class_var(features: np.ndarray, labels) -> dict[int, float]:

@@ -161,8 +161,7 @@ def cmd_eval_features(cfg: dict, out: str) -> None:
         payload[f"within_class_var_{kind}"] = {
             str(c): v for c, v in canon.within_class_var(feats, labels).items()}
         if k >= 2:  # single-class bundles have nothing to cluster
-            payload[f"nmi_{kind}"] = canon.feature_quality(feats, labels, k,
-                                                           rng.split(stream)).nmi
+            payload[f"nmi_{kind}"] = canon.feature_quality(feats, labels, k, rng.split(stream))
     _write_json(payload, os.path.join(out, FEATURES_REPORT))
 
 

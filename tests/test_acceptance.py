@@ -16,7 +16,8 @@ import pytest
 
 import exact_oracle
 import tape_oracle as oracle
-from diffcanon import canon, cli, diffusion, distill, numerics, toydata
+from conftest import ARTIFACTS, rerun_from_echoes
+from diffcanon import canon, config, diffusion, distill, numerics, toydata
 from diffcanon import autodiff as ad
 from diffcanon.autodiff import Tensor
 from diffcanon.diffusion import CondDenoiser
@@ -31,11 +32,18 @@ def emit(capsys, n: int, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------- shared runs
 
 
+def read_json(directory: str, name: str) -> dict:
+    with open(os.path.join(directory, name)) as f:
+        return json.load(f)
+
+
 @pytest.fixture(scope="module")
-def te_reports(trained_model, schedule):
-    grid = list(range(100, 1001, 100))
-    return [canon.find_te(trained_model, schedule, toydata.bayes_rule, grid, 200,
-                          Rng(seed).split("te"), tol=0.02) for seed in (0, 1, 2)]
+def te_reports(full_recipe, trained_model, schedule):
+    """Seed 0 is the recipe's find-te report; seeds 1 and 2 search its grid again."""
+    recorded = canon.TeSearchReport(**read_json(full_recipe, "te_report.json"))
+    return [recorded] + [canon.find_te(trained_model, schedule, toydata.bayes_rule,
+                                       recorded.grid, 200, Rng(seed).split("te"), tol=0.02)
+                         for seed in (1, 2)]
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +57,8 @@ def class1_canonicalization(model, dataset, schedule, t_e):
     xs, ys = dataset.xs, dataset.ys
     idx = np.flatnonzero(ys == 1)[:100]
     sel_x, sel_y = xs[idx], ys[idx]
-    bundles, x_te = canon.canonicalize_batch(sel_x, sel_y, model, schedule, t_e)
+    bundles, x_te = canon.canonicalize_batch(sel_x, sel_y, model, schedule, t_e,
+                                             t_r=config.DEFAULTS["clarid.t_r"])
     baseline = diffusion.decode_batch(x_te, t_e, sel_y, model, schedule)
     canonical = bundles.canonical_sample
     return {
@@ -71,19 +80,6 @@ def exact_class1_run(dataset, schedule, chosen_te):
     """The same run on the exact posterior noise prediction of the toy process."""
     return class1_canonicalization(exact_oracle.ExactDenoiser(schedule.alpha_bar), dataset,
                                    schedule, chosen_te)
-
-
-@pytest.fixture(scope="module")
-def mixed_quality(trained_model, dataset, schedule, chosen_te):
-    xs, ys = dataset.xs[:100], dataset.ys[:100]
-    bundles, _ = canon.canonicalize_batch(xs, ys, trained_model, schedule, chosen_te)
-    canon_feats = bundles.canonical_feature
-    t_r = max(1, round(0.1 * schedule.t_max))
-    orig_lat = diffusion.invert_batch(xs, t_r, ys, trained_model, schedule)
-    orig_feats = trained_model.hidden(orig_lat, t_r, ys)
-    q_canon = canon.feature_quality(canon_feats, ys, 2, Rng(0).split("fq-canon"))
-    q_orig = canon.feature_quality(orig_feats, ys, 2, Rng(0).split("fq-orig"))
-    return q_canon, q_orig
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -452,18 +448,22 @@ def test_criterion_5_numerical_checks(schedule, capsys):
 
 def test_criterion_6_saturation_curve(te_reports, capsys):
     tail_ok = True
+    saturates_from = []
     for report in te_reports:
         best = max(report.accuracies)
         tail_ok &= all(acc >= best - 0.05
                        for t, acc in zip(report.grid, report.accuracies)
                        if t >= report.chosen)
+        # the smallest grid value within tol of the maximum, where the curve saturates
+        saturates_from.append(min(t for t, acc in zip(report.grid, report.accuracies)
+                                  if acc >= best - report.tol))
     chosens = [r.chosen for r in te_reports]
     positions = [te_reports[0].grid.index(c) for c in chosens]
     adjacent = max(positions) - min(positions) <= 1
     ok = tail_ok and adjacent
     emit(capsys, 6, ok,
          f"chosen_per_seed={chosens} (need identical or grid-adjacent), "
-         f"tail_within_0.05_of_max={tail_ok}")
+         f"tail_within_0.05_of_max={tail_ok}, saturates_from_per_seed={saturates_from}")
     assert tail_ok
     assert adjacent
 
@@ -471,19 +471,18 @@ def test_criterion_6_saturation_curve(te_reports, capsys):
 # ---------------------------------------------------------------- criterion 7
 
 
-@pytest.fixture(scope="module")
-def clarep_pool(trained_model, dataset, schedule, chosen_te):
-    xs, ys = dataset.xs, dataset.ys
-    picked = distill.pool_rows(ys, 0.1, Rng(0).split("pool-select"))
-    return canon.canonicalize_batch(xs[picked], ys[picked], trained_model, schedule,
-                                    chosen_te)[0]
-
-
-def test_criterion_7_distilled_robustness(dataset, clarep_pool, capsys):
+def test_criterion_7_distilled_robustness(full_recipe, dataset, capsys):
     start = time.monotonic()
+
+    def recorded(target):
+        m = read_json(full_recipe, f"metrics_{target}.json")
+        return distill.MetricsReport(m["clean_accuracy"], m["robust_accuracy"])
+
+    # seed 0 is the recipe's pair of students; seeds 1 and 2 train on its pool
+    rows = [(recorded("student"), recorded("vanilla"))]
+    clarep_pool = canon.load_bundles(os.path.join(full_recipe, "pool.jsonl"))
     atk = distill.AttackConfig()
-    rows = []
-    for seed in (0, 1, 2):
+    for seed in (1, 2):
         cfg = distill.DistillConfig()
         distilled, _ = distill.train_student(dataset, clarep_pool, cfg,
                                              Rng(seed).split("student"))
@@ -511,10 +510,12 @@ def test_criterion_7_distilled_robustness(dataset, clarep_pool, capsys):
 # ---------------------------------------------------------------- criterion 8
 
 
-def test_criterion_8_feature_compactness(mixed_quality, capsys):
-    q_canon, q_orig = mixed_quality
-    pairs = {c: (q_canon.within_class_var[c], q_orig.within_class_var[c])
-             for c in sorted(q_orig.within_class_var)}
+def test_criterion_8_feature_compactness(full_recipe, capsys):
+    # eval-features over clarid's bundles: the first 100 samples, of both classes
+    report = read_json(full_recipe, "features_report.json")
+    canonical, original = (report[f"within_class_var_{kind}"]
+                           for kind in ("canonical", "original"))
+    pairs = {int(c): (canonical[c], original[c]) for c in sorted(original)}
     ok = all(cv <= ov for cv, ov in pairs.values())
     detail = ", ".join(f"class{c}: canonical={cv:.3f} vs original={ov:.3f}"
                        for c, (cv, ov) in pairs.items())
@@ -526,49 +527,9 @@ def test_criterion_8_feature_compactness(mixed_quality, capsys):
 # ---------------------------------------------------------------- criterion 9
 
 
-RECIPE = [
-    ("gen-data", []),
-    ("train-cdm", []),
-    ("find-te", []),
-    ("clarid", []),
-    ("eval-features", []),
-    ("build-pool", []),
-    ("train-student", []),
-    ("train-student", ["--set", "student.vanilla=true"]),
-    ("attack", ["--set", "attack.target=student"]),
-    ("attack", ["--set", "attack.target=vanilla"]),
-    ("report", []),
-]
-
-ARTIFACTS = [
-    "toy_data.csv", "cdm_checkpoint.json", "cdm_loss.csv",
-    "te_report.json", "te_curve.csv", "bundles.jsonl", "before_after.csv",
-    "features_report.json", "pool.jsonl",
-    "student_checkpoint.json", "student_loss.csv",
-    "vanilla_checkpoint.json", "vanilla_loss.csv",
-    "metrics_student.json", "metrics_vanilla.json", "summary.csv",
-]
-
-ECHOES = [
-    "gen-data", "train-cdm", "find-te", "clarid", "eval-features",
-    "build-pool", "train-student.distill", "train-student.vanilla",
-    "attack.student", "attack.vanilla", "report",
-]
-
-
-def test_criterion_9_recipe_determinism(tmp_path, capsys):
-    first = str(tmp_path / "first")
-    for cmd, extra in RECIPE:
-        assert cli.main([cmd, "--out", first, "--seed", "0", *extra]) == 0, cmd
-    rerun = str(tmp_path / "rerun")
-    for echo in ECHOES:
-        with open(os.path.join(first, f"resolved_config.{echo}.json")) as f:
-            cfg = json.load(f)
-        del cfg["out"]
-        cfg_path = tmp_path / f"cfg_{echo}.json"
-        cfg_path.write_text(json.dumps(cfg))
-        cmd = echo.split(".")[0]
-        assert cli.main([cmd, "--config", str(cfg_path), "--out", rerun]) == 0, echo
+def test_criterion_9_recipe_determinism(full_recipe, tmp_path, capsys):
+    first, rerun = full_recipe, str(tmp_path / "rerun")
+    rerun_from_echoes(first, rerun)
     mismatched = [name for name in ARTIFACTS
                   if not filecmp.cmp(os.path.join(first, name),
                                      os.path.join(rerun, name), shallow=False)]

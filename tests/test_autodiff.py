@@ -266,6 +266,8 @@ DAMAGE = {
     "missing": "no parameter b3",
     "reshaped": "W1 has shape",
     "ragged": "W2 is not a numeric array",
+    "nan": "b3 is not finite",
+    "inf": "W1 is not finite",
     "not-json": "Expecting",
     "list": "not a JSON object",
     "params-number": "params object",
@@ -291,6 +293,10 @@ def test_checkpoint_loader_refuses_damaged_file(tmp_path, kind, damage):
         params["W1"] = params["W1"][:-1]
     elif damage == "ragged":
         params["W2"][0] = params["W2"][0][:-1]
+    elif damage == "nan":
+        params["b3"][0] = float("nan")
+    elif damage == "inf":
+        params["W1"][0][0] = float("inf")
     elif damage == "unknown-key":
         payload["bogus"] = 1
     elif damage == "text-width":

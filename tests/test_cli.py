@@ -7,6 +7,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import ARTIFACTS, ECHOES, RECIPE, rerun_from_echoes, run_recipe
 from diffcanon import canon, cli, config, diffusion, distill
 
 REDUCED = [
@@ -24,29 +26,6 @@ REDUCED = [
     "--set", "clarid.n_samples=30",
     "--set", "student.epochs=40",
     "--set", "eval.n=300",
-]
-
-RECIPE = [
-    ("gen-data", []),
-    ("train-cdm", []),
-    ("find-te", []),
-    ("clarid", []),
-    ("eval-features", []),
-    ("build-pool", []),
-    ("train-student", []),
-    ("train-student", ["--set", "student.vanilla=true"]),
-    ("attack", ["--set", "attack.target=student"]),
-    ("attack", ["--set", "attack.target=vanilla"]),
-    ("report", []),
-]
-
-ARTIFACTS = [
-    "toy_data.csv", "cdm_checkpoint.json", "cdm_loss.csv",
-    "te_report.json", "te_curve.csv", "bundles.jsonl", "before_after.csv",
-    "features_report.json", "pool.jsonl",
-    "student_checkpoint.json", "student_loss.csv",
-    "vanilla_checkpoint.json", "vanilla_loss.csv",
-    "metrics_student.json", "metrics_vanilla.json", "summary.csv",
 ]
 
 # sha256 of every artifact of the REDUCED seed-0 recipe. The digests
@@ -90,13 +69,6 @@ CONFIG_KEYS = {
 
 SECTIONS = [("schedule", diffusion.linear_schedule), ("cdm", diffusion.TrainConfig),
             ("student", distill.DistillConfig), ("attack", distill.AttackConfig)]
-
-ECHOES = [
-    "gen-data", "train-cdm", "find-te", "clarid", "eval-features",
-    "build-pool", "train-student.distill", "train-student.vanilla",
-    "attack.student", "attack.vanilla", "report",
-]
-
 
 def run(cmd: str, out: str, *extra: str, seed: int = 0) -> int:
     return cli.main([cmd, "--out", out, "--seed", str(seed), *REDUCED, *extra])
@@ -255,12 +227,26 @@ def test_console_entry_point_runs():
 # ---------------------------------------------------------------- full recipe
 
 
+def test_recipe_script_makes_the_judged_calls():
+    # the tests run conftest.RECIPE through cli.main; the recipe that ships
+    # is scripts/run_toy_recipe.sh, and both must be the same 11 calls
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_toy_recipe.sh")
+    calls = []
+    with open(script) as f:
+        for words in map(shlex.split, f):
+            if words[:1] != ["run"]:
+                continue
+            assert len(words) % 2 == 0, f"unpaired argument in {words}"
+            pairs = list(zip(words[2::2], words[3::2]))
+            assert [p for p in pairs if p[0] != "--set"] == [("--out", "$OUT"),
+                                                             ("--seed", "$SEED")]
+            calls.append((words[1], [w for p in pairs if p[0] == "--set" for w in p]))
+    assert calls == RECIPE
+
+
 @pytest.fixture(scope="module")
 def recipe_dir(tmp_path_factory):
-    out = str(tmp_path_factory.mktemp("recipe"))
-    for cmd, extra in RECIPE:
-        assert run(cmd, out, *extra) == 0, f"stage {cmd} {extra} failed"
-    return out
+    return run_recipe(str(tmp_path_factory.mktemp("recipe")), *REDUCED)
 
 
 def test_recipe_produces_all_artifacts(recipe_dir):
@@ -342,14 +328,7 @@ def test_summary_covers_all_stages(recipe_dir):
 
 def test_recipe_rerun_from_echoes_is_byte_identical(recipe_dir, tmp_path):
     rerun = str(tmp_path / "rerun")
-    for echo in ECHOES:
-        with open(os.path.join(recipe_dir, f"resolved_config.{echo}.json")) as f:
-            cfg = json.load(f)
-        del cfg["out"]
-        cfg_path = tmp_path / f"cfg_{echo}.json"
-        cfg_path.write_text(json.dumps(cfg))
-        cmd = echo.split(".")[0]
-        assert cli.main([cmd, "--config", str(cfg_path), "--out", rerun]) == 0
+    rerun_from_echoes(recipe_dir, rerun)
     for name in ARTIFACTS:
         assert filecmp.cmp(os.path.join(recipe_dir, name),
                            os.path.join(rerun, name), shallow=False), name
@@ -433,6 +412,17 @@ def test_find_te_refuses_a_checkpoint_that_is_not_a_json_object(tmp_path, capsys
     assert run("find-te", str(tmp_path)) == 1
     err = capsys.readouterr().err
     assert "code=INVALID_INPUT" in err and "cdm_checkpoint.json" in err
+
+
+def test_find_te_refuses_a_checkpoint_with_a_nan_parameter(recipe_dir, tmp_path, capsys):
+    with open(os.path.join(recipe_dir, "cdm_checkpoint.json")) as f:
+        payload = json.load(f)
+    payload["params"]["b3"][0] = float("nan")
+    (tmp_path / "cdm_checkpoint.json").write_text(json.dumps(payload))  # writes NaN
+    assert run("find-te", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "code=INVALID_INPUT" in err and "cdm_checkpoint.json" in err and "b3" in err
+    assert not (tmp_path / "te_report.json").exists()
 
 
 def test_train_student_folds_a_trailing_one_row_batch(recipe_dir, tmp_path, capsys):

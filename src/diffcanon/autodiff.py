@@ -222,14 +222,13 @@ class SgdMomentum(_FlatOptimizer):
         self.flat -= self.lr * self.buf
 
 
-def save_params(path: str, fmt: str, meta: dict[str, int], model) -> None:
+def save_params(path: str, fmt: str, model) -> None:
     """Write a checkpoint of `model`'s parameters as one JSON object.
 
-    It holds the format tag `fmt`, the integer metadata `meta` that
-    rebuilds the model, and each parameter of `model.PARAM_NAMES` as a
-    nested list, with sorted keys.
+    It holds the format tag `fmt` and each parameter of `model.PARAM_NAMES`
+    as a nested list, with sorted keys.
     """
-    payload = {"format": fmt, **meta,
+    payload = {"format": fmt,
                "params": {name: getattr(model, name).data.tolist()
                           for name in model.PARAM_NAMES}}
     with atomic_write(path) as f:
@@ -253,12 +252,11 @@ def atomic_write(path: str):
             os.remove(tmp)
 
 
-def load_params(path: str, fmt: str, build):
-    """Read a save_params checkpoint into the model `build(**meta)` returns.
+def load_params(path: str, fmt: str, model):
+    """Read a save_params checkpoint into `model` and return it.
 
-    It must be a JSON object: the format tag `fmt`, metadata that `build` takes,
-    and a `params` object with each parameter the model names, finite and in the
-    model's shape.
+    It must be a JSON object: the format tag `fmt` and a `params` object
+    with each parameter the model names, finite and in the model's shape.
     """
     try:
         with open(path) as f:
@@ -267,8 +265,7 @@ def load_params(path: str, fmt: str, build):
             raise ValueError("not a JSON object with a params object")
         if payload.get("format") != fmt:
             raise ValueError(f"unexpected checkpoint format: {payload.get('format')}")
-        model = build(**{k: v for k, v in payload.items() if k not in ("format", "params")})
-    except (TypeError, ValueError, ArithmeticError) as exc:  # not JSON, or metadata build refuses
+    except ValueError as exc:  # not JSON, or not a checkpoint of this format
         raise InvalidInputError(f"checkpoint {path}: {exc}") from exc
     stored = payload["params"]
     for name in model.PARAM_NAMES:

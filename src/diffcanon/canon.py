@@ -25,12 +25,6 @@ from .rng import Rng
 
 
 @dataclass
-class ExtraneousBasis:
-    v: np.ndarray            # (..., input_dim, n) orthonormal columns, descending sigma
-    sigma: np.ndarray        # (..., n)
-
-
-@dataclass
 class Bundles:
     """Canonical bundles as columns, one row per canonicalized sample."""
 
@@ -69,18 +63,9 @@ def jacobian(model, xs, t: int, conds) -> np.ndarray:
     return j
 
 
-def extraneous_directions(j: np.ndarray, n: int) -> ExtraneousBasis:
-    """Top-n right singular vectors of the feature Jacobian (or of each of a stack)."""
-    j = np.asarray(j, dtype=np.float64)
-    if n < 1 or n > min(j.shape[-2:]):
-        raise InvalidInputError(f"n must be in [1, {min(j.shape[-2:])}], got {n}")
-    res = svd(j)
-    return ExtraneousBasis(v=res.v[..., :n], sigma=res.sigma[..., :n])
-
-
-def evr_sequence(basis: ExtraneousBasis) -> np.ndarray:
+def evr_sequence(sigma: np.ndarray) -> np.ndarray:
     """Cumulative squared-singular-value ratios S_1..S_n, along the last axis."""
-    s2 = basis.sigma ** 2
+    s2 = sigma ** 2
     total = s2.sum(axis=-1, keepdims=True)
     if np.any(total <= 0.0):
         raise DegenerateInputError("all singular values are zero")
@@ -94,13 +79,16 @@ def select_k(s):
     return elbow_index(s) + 1
 
 
-def project_out(x_te, basis: ExtraneousBasis, k) -> np.ndarray:
-    """Remove the span of the first k basis columns from x_te, per sample of a batch."""
+def project_out(x_te, v: np.ndarray, k) -> np.ndarray:
+    """Remove the span of the first k columns of v from x_te, per sample of a batch.
+
+    v holds orthonormal columns, (..., d, n), in the order they are removed.
+    """
     k = np.asarray(k)
-    n = basis.v.shape[-1]
+    n = v.shape[-1]
     if np.any(k > n):
         raise InvalidInputError(f"k={k.max()} exceeds basis size n={n}")
-    vk = basis.v * (np.arange(n) < k[..., None])[..., None, :]
+    vk = v * (np.arange(n) < k[..., None])[..., None, :]
     return x_te - np.einsum("...in,...n->...i", vk, np.einsum("...in,...i->...n", vk, x_te))
 
 
@@ -116,7 +104,7 @@ _BLOCK_ROWS = 256
 
 
 def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
-                       sched: NoiseSchedule, t_e: int, cfg_scale: float = 1.0, *,
+                       sched: NoiseSchedule, t_e: int, *, cfg_scale: float,
                        t_r: int) -> tuple[Bundles, np.ndarray]:
     """Run the full extraction pipeline over a batch of labeled samples.
 
@@ -133,10 +121,9 @@ def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
     ks = np.empty(len(xs), dtype=np.int64)
     for lo in range(0, len(xs), _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
-        basis = extraneous_directions(jacobian(model, x_te[rows], t_e, ys[rows]),
-                                      x_te.shape[1])
-        ks[rows] = select_k(evr_sequence(basis))
-        latents[rows] = project_out(x_te[rows], basis, ks[rows])
+        res = svd(jacobian(model, x_te[rows], t_e, ys[rows]))
+        ks[rows] = select_k(evr_sequence(res.sigma))
+        latents[rows] = project_out(x_te[rows], res.v, ks[rows])
     samples = decode_batch(latents, t_e, ys, model, sched, cfg_scale)
     feats = read_features(samples, ys, model, sched, t_r)
     n = len(xs)
@@ -158,7 +145,7 @@ _TE_ROWS = 2000
 
 
 def find_te(model: CondDenoiser, sched: NoiseSchedule, classifier_rule: Callable,
-            grid: list[int], m: int, rng: Rng, tol: float = 0.02) -> TeSearchReport:
+            grid: list[int], m: int, rng: Rng, *, tol: float) -> TeSearchReport:
     """Pick the projection timestep from the two-stage accuracy curve.
 
     For each candidate, m samples per class are drawn with the

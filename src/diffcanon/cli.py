@@ -37,6 +37,9 @@ SUMMARY = "summary.csv"
 
 
 def _schedule(cfg: dict) -> diffusion.NoiseSchedule:
+    if cfg["schedule.ddim_steps"] < 1:
+        raise ConfigError(f"schedule.ddim_steps must be at least 1, "
+                          f"got {cfg['schedule.ddim_steps']}")
     return config.build(cfg, "schedule", diffusion.linear_schedule)
 
 
@@ -47,6 +50,9 @@ def _require(path: str, hint: str) -> str:
 
 
 def _chosen_te(cfg: dict, out: str) -> int:
+    if cfg["clarid.t_e"] < 0:
+        raise ConfigError(f"clarid.t_e must be at least 0 (0 reads the search report), "
+                          f"got {cfg['clarid.t_e']}")
     if cfg["clarid.t_e"] > 0:
         return cfg["clarid.t_e"]
     with open(_require(os.path.join(out, TE_REPORT), "saturation report")) as f:
@@ -67,13 +73,9 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _select_indices(ys: np.ndarray, cfg: dict) -> np.ndarray:
-    idx = np.arange(len(ys))
-    if cfg["clarid.class_filter"] >= 0:
-        idx = idx[ys == cfg["clarid.class_filter"]]
-    idx = idx[:max(cfg["clarid.n_samples"], 0)]
+    idx = np.arange(len(ys))[:max(cfg["clarid.n_samples"], 0)]
     if len(idx) == 0:
-        raise ConfigError("clarid selects no samples; see clarid.n_samples and "
-                          "clarid.class_filter")
+        raise ConfigError("clarid selects no samples; see clarid.n_samples")
     return idx
 
 
@@ -108,6 +110,8 @@ def cmd_train_cdm(cfg: dict, out: str) -> None:
 
 
 def cmd_find_te(cfg: dict, out: str) -> None:
+    if cfg["te.tol"] < 0:
+        raise ConfigError(f"te.tol must be at least 0, got {cfg['te.tol']}")
     model = diffusion.load_checkpoint(_require(os.path.join(out, CDM_CKPT), "denoiser checkpoint"))
     sched = _schedule(cfg)
     grid = config.grid_from_config(cfg)
@@ -166,6 +170,8 @@ def cmd_eval_features(cfg: dict, out: str) -> None:
 
 
 def cmd_build_pool(cfg: dict, out: str) -> None:
+    if not 0 < cfg["pool.fraction"] <= 1:
+        raise ConfigError(f"pool.fraction must be in (0, 1], got {cfg['pool.fraction']}")
     model = diffusion.load_checkpoint(_require(os.path.join(out, CDM_CKPT), "denoiser checkpoint"))
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
     sched = _schedule(cfg)
@@ -231,8 +237,7 @@ def cmd_report(cfg: dict, out: str) -> None:
             with open(m_path) as f:
                 m = json.load(f)
             add(f"{target}_clean_accuracy", float(m["clean_accuracy"]))
-            if m.get("robust_accuracy") is not None:
-                add(f"{target}_robust_accuracy", float(m["robust_accuracy"]))
+            add(f"{target}_robust_accuracy", float(m["robust_accuracy"]))
     ba_path = os.path.join(out, BEFORE_AFTER)
     if os.path.exists(ba_path):
         with open(ba_path, newline="") as f:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 
 from . import diffusion, distill
 from .errors import ConfigError
@@ -40,7 +41,6 @@ DEFAULTS: dict[str, object] = {
     "clarid.cfg_scale": 1.0,          # 1 = no guidance
     "clarid.t_r": 100,
     "clarid.n_samples": 100,
-    "clarid.class_filter": -1,        # -1 = all classes
     "pool.fraction": 0.1,
     "student.vanilla": False,
     **_section("student", distill.DistillConfig),
@@ -69,9 +69,12 @@ def _coerce(key: str, value: object) -> object:
         if isinstance(value, bool) or kind is int and isinstance(value, float) and value % 1:
             raise refused
         try:
-            return kind(value)
+            number = kind(value)
         except (TypeError, ValueError) as exc:
             raise refused from exc
+        if not math.isfinite(number):  # float("nan") and float("inf") parse
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        return number
     return str(value)
 
 

@@ -35,7 +35,7 @@ from .toydata import ToyDataset
 # so that a short run is not averaged over its first, barely trained epochs.
 EMA_DECAY = 0.99
 
-CHECKPOINT_FORMAT = "cdm-checkpoint-v1"
+CHECKPOINT_FORMAT = "cdm-checkpoint-v2"
 
 
 @dataclass
@@ -185,20 +185,19 @@ class CondDenoiser:
     """
 
     PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "label_emb")
+    n_classes, hidden_dim, embed_dim = 2, 80, 16
 
-    def __init__(self, rng: Rng, n_classes: int = 2, hidden_dim: int = 80, embed_dim: int = 16):
-        self.n_classes = n_classes
-        self.hidden_dim = hidden_dim
-        self.embed_dim = embed_dim
-        in_dim = 2 + 2 * embed_dim
-        h = hidden_dim
+    def __init__(self, rng: Rng):
+        in_dim = 2 + 2 * self.embed_dim
+        h = self.hidden_dim
         self.W1 = Tensor(rng.normal((in_dim, h)) * np.sqrt(2.0 / in_dim), requires_grad=True)
         self.b1 = Tensor(np.zeros(h), requires_grad=True)
         self.W2 = Tensor(rng.normal((h, h)) * np.sqrt(2.0 / h), requires_grad=True)
         self.b2 = Tensor(np.zeros(h), requires_grad=True)
         self.W3 = Tensor(rng.normal((h, 2)) * np.sqrt(2.0 / h), requires_grad=True)
         self.b3 = Tensor(np.zeros(2), requires_grad=True)
-        self.label_emb = Tensor(rng.normal((n_classes + 1, embed_dim)), requires_grad=True)
+        self.label_emb = Tensor(rng.normal((self.n_classes + 1, self.embed_dim)),
+                                requires_grad=True)
         self._workspace: dict | None = None  # row count -> buffers, inside `trajectory`
 
     @property
@@ -497,10 +496,8 @@ def two_stage_batch(x_T: np.ndarray, t_e, cond, model: CondDenoiser, sched: Nois
 
 
 def save_checkpoint(model: CondDenoiser, path: str) -> None:
-    ad.save_params(path, CHECKPOINT_FORMAT,
-                   {"n_classes": model.n_classes, "hidden_dim": model.hidden_dim,
-                    "embed_dim": model.embed_dim}, model)
+    ad.save_params(path, CHECKPOINT_FORMAT, model)
 
 
 def load_checkpoint(path: str) -> CondDenoiser:
-    return ad.load_params(path, CHECKPOINT_FORMAT, lambda **meta: CondDenoiser(Rng(0), **meta))
+    return ad.load_params(path, CHECKPOINT_FORMAT, CondDenoiser(Rng(0)))

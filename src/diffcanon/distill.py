@@ -23,18 +23,17 @@ from .errors import (ConfigError, DegenerateInputError, InvalidInputError,
 from .rng import Rng
 from .toydata import ToyDataset
 
-CHECKPOINT_FORMAT = "student-checkpoint-v1"
+CHECKPOINT_FORMAT = "student-checkpoint-v2"
 
 
 class StudentClassifier:
     """ReLU MLP 2 -> h -> h -> logits; the penultimate layer is the feature."""
 
     PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
+    n_classes, hidden_dim = 2, 64
 
-    def __init__(self, rng: Rng, n_classes: int = 2, hidden_dim: int = 64):
-        self.n_classes = n_classes
-        self.hidden_dim = hidden_dim
-        h = hidden_dim
+    def __init__(self, rng: Rng):
+        h, n_classes = self.hidden_dim, self.n_classes
         self.W1 = Tensor(rng.normal((2, h)) * np.sqrt(2.0 / 2), requires_grad=True)
         self.b1 = Tensor(np.zeros(h), requires_grad=True)
         self.W2 = Tensor(rng.normal((h, h)) * np.sqrt(2.0 / h), requires_grad=True)
@@ -101,7 +100,7 @@ class AttackConfig:
 @dataclass
 class MetricsReport:
     clean_accuracy: float
-    robust_accuracy: float | None = None
+    robust_accuracy: float
 
 
 def _softmax_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,20 +358,13 @@ def train_student(data: ToyDataset, pool: Bundles | None, cfg: DistillConfig,
 
 
 def pgd_attack(student: StudentClassifier, x: np.ndarray, y: np.ndarray,
-               atk: AttackConfig, rng: Rng | None) -> np.ndarray:
-    """L-infinity PGD: random start, signed-gradient steps, per-step projection.
-
-    With rng=None the attack starts at the clean input (steps=1 with
-    step_size=epsilon then reduces to FGSM).
-    """
+               atk: AttackConfig, rng: Rng) -> np.ndarray:
+    """L-infinity PGD: random start, signed-gradient steps, per-step projection."""
     if atk.epsilon <= 0 or atk.steps < 1:
         raise InvalidInputError("attack needs epsilon > 0 and steps >= 1")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if rng is None:
-        x_adv = x.copy()
-    else:
-        x_adv = x + rng.uniform(-atk.epsilon, atk.epsilon, size=x.shape)
+    x_adv = x + rng.uniform(-atk.epsilon, atk.epsilon, size=x.shape)
     for _ in range(atk.steps):
         x_t = Tensor(x_adv, requires_grad=True)
         _, logits = student.forward_graph(x_t)
@@ -383,25 +375,19 @@ def pgd_attack(student: StudentClassifier, x: np.ndarray, y: np.ndarray,
     return x_adv
 
 
-def evaluate(student: StudentClassifier, data: ToyDataset,
-             atk: AttackConfig | None = None, rng: Rng | None = None) -> MetricsReport:
-    """Clean accuracy, and robust accuracy under the attack if given."""
+def evaluate(student: StudentClassifier, data: ToyDataset, atk: AttackConfig,
+             rng: Rng) -> MetricsReport:
+    """Clean accuracy, and robust accuracy under the attack."""
     xs, ys = data.xs, data.ys
     clean = float(np.mean(student.predict(xs) == ys))
-    robust = None
-    if atk is not None:
-        if rng is None:
-            raise InvalidInputError("attack evaluation needs an rng for random starts")
-        x_adv = pgd_attack(student, xs, ys, atk, rng)
-        robust = float(np.mean(student.predict(x_adv) == ys))
-    return MetricsReport(clean_accuracy=clean, robust_accuracy=robust)
+    x_adv = pgd_attack(student, xs, ys, atk, rng)
+    return MetricsReport(clean_accuracy=clean,
+                         robust_accuracy=float(np.mean(student.predict(x_adv) == ys)))
 
 
 def save_student(student: StudentClassifier, path: str) -> None:
-    ad.save_params(path, CHECKPOINT_FORMAT,
-                   {"n_classes": student.n_classes, "hidden_dim": student.hidden_dim}, student)
+    ad.save_params(path, CHECKPOINT_FORMAT, student)
 
 
 def load_student(path: str) -> StudentClassifier:
-    return ad.load_params(path, CHECKPOINT_FORMAT,
-                          lambda **meta: StudentClassifier(Rng(0), **meta))
+    return ad.load_params(path, CHECKPOINT_FORMAT, StudentClassifier(Rng(0)))

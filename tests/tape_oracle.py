@@ -260,10 +260,7 @@ def pgd_attack(student, x, y, atk, rng) -> np.ndarray:
     """`distill.pgd_attack` with its input gradient taken through the per-op graph."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    if rng is None:
-        x_adv = x.copy()
-    else:
-        x_adv = x + rng.uniform(-atk.epsilon, atk.epsilon, size=x.shape)
+    x_adv = x + rng.uniform(-atk.epsilon, atk.epsilon, size=x.shape)
     for _ in range(atk.steps):
         x_t = Tensor(x_adv, requires_grad=True)
         _, logits = forward_graph(student, x_t)

@@ -16,6 +16,8 @@ import pytest
 
 import exact_oracle
 import tape_oracle as oracle
+from brute_oracle import (brute_align, brute_cluster, brute_elbow, brute_nmi, fd_on_tensor,
+                          rel_err)
 from conftest import ARTIFACTS, rerun_from_echoes
 from diffcanon import canon, config, diffusion, distill, numerics, toydata
 from diffcanon import autodiff as ad
@@ -42,7 +44,8 @@ def te_reports(full_recipe, trained_model, schedule):
     """Seed 0 is the recipe's find-te report; seeds 1 and 2 search its grid again."""
     recorded = canon.TeSearchReport(**read_json(full_recipe, "te_report.json"))
     return [recorded] + [canon.find_te(trained_model, schedule, toydata.bayes_rule,
-                                       recorded.grid, 200, Rng(seed).split("te"), tol=0.02)
+                                       recorded.grid, 200, Rng(seed).split("te"),
+                                       tol=config.DEFAULTS["te.tol"])
                          for seed in (1, 2)]
 
 
@@ -58,6 +61,7 @@ def class1_canonicalization(model, dataset, schedule, t_e):
     idx = np.flatnonzero(ys == 1)[:100]
     sel_x, sel_y = xs[idx], ys[idx]
     bundles, x_te = canon.canonicalize_batch(sel_x, sel_y, model, schedule, t_e,
+                                             cfg_scale=config.DEFAULTS["clarid.cfg_scale"],
                                              t_r=config.DEFAULTS["clarid.t_r"])
     baseline = diffusion.decode_batch(x_te, t_e, sel_y, model, schedule)
     canonical = bundles.canonical_sample
@@ -188,64 +192,6 @@ def test_criterion_3_inversion_roundtrip(trained_model, dataset, schedule, capsy
 # ---------------------------------------------------------------- criterion 4
 
 
-def brute_elbow(s):
-    s = [float(v) for v in s]
-    n = len(s)
-    if n < 2:
-        return 0
-    dx, dy = float(n - 1), s[-1] - s[0]
-    norm = math.hypot(dx, dy)
-    if norm == 0:
-        return 0
-    dists = [abs(dy * i - dx * (s[i] - s[0])) / norm for i in range(n)]
-    best = 0
-    for i in range(1, n):
-        if dists[i] > dists[best]:
-            best = i
-    return best
-
-
-def brute_nmi(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    n = len(a)
-    av, bv = np.unique(a), np.unique(b)
-    mi = 0.0
-    for x in av:
-        for y in bv:
-            pxy = np.sum((a == x) & (b == y)) / n
-            if pxy > 0:
-                mi += pxy * math.log(pxy / ((np.sum(a == x) / n) * (np.sum(b == y) / n)))
-    ha = -sum((np.sum(a == x) / n) * math.log(np.sum(a == x) / n) for x in av)
-    hb = -sum((np.sum(b == y) / n) * math.log(np.sum(b == y) / n) for y in bv)
-    denom = 0.5 * (ha + hb)
-    return 0.0 if denom == 0 else mi / denom
-
-
-def brute_align(z, zc, labels, tau):
-    b = len(labels)
-    total = 0.0
-    for i in range(b):
-        pos = [j for j in range(b) if labels[j] == labels[i]]
-        denom = sum(math.exp(np.dot(z[i], zc[k]) / tau) for k in range(b))
-        total += sum(math.log(math.exp(np.dot(z[i], zc[j]) / tau) / denom)
-                     for j in pos) / len(pos)
-    return -total / b
-
-
-def brute_cluster(zc, labels, tau):
-    b = len(labels)
-    total = 0.0
-    for i in range(b):
-        pos = [j for j in range(b) if j != i and labels[j] == labels[i]]
-        denom = sum(math.exp(np.dot(zc[i], zc[k]) / tau) for k in range(b) if k != i)
-        if pos:
-            total += -sum(math.log(math.exp(np.dot(zc[i], zc[j]) / tau) / denom)
-                          for j in pos) / len(pos)
-        else:
-            total += math.log(denom)
-    return total / b
-
-
 def test_criterion_4_oracle_suites(capsys):
     rng = Rng(104)
     # knee rule vs brute-force chord distances, exact
@@ -307,24 +253,6 @@ def test_criterion_4_oracle_suites(capsys):
 # ---------------------------------------------------------------- criterion 5
 
 
-def rel_err(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-8)
-
-
-def fd_on_tensor(build, x0, coords=6, h=1e-6):
-    """Worst relative error between backward() grads and central FD."""
-    t = Tensor(x0.copy(), requires_grad=True)
-    build(t).backward()
-    worst = 0.0
-    for ci in Rng(0).integers(0, x0.size, size=coords):
-        xp, xm = x0.copy(), x0.copy()
-        xp.reshape(-1)[ci] += h
-        xm.reshape(-1)[ci] -= h
-        fd = (build(Tensor(xp)).item() - build(Tensor(xm)).item()) / (2 * h)
-        worst = max(worst, rel_err(fd, t.grad.reshape(-1)[ci]))
-    return worst
-
-
 def fd_on_param(loss_fn, param, coords=4, h=1e-6):
     """Worst relative FD error for a loss over one parameter tensor."""
     loss = loss_fn()
@@ -369,11 +297,11 @@ def test_criterion_5_numerical_checks(schedule, capsys):
     labels = rng.integers(0, 2, size=6)
     feats = rng.normal(size=(6, 5))
     worst_grad = max(worst_grad, fd_on_tensor(
-        lambda v: distill.align_loss(v, Tensor(zc), labels, 0.1), z))
+        lambda v: distill.align_loss(v, Tensor(zc), labels, 0.1), z, coords=6))
     worst_grad = max(worst_grad, fd_on_tensor(
-        lambda v: distill.cluster_loss(v, labels, 0.1), zc))
+        lambda v: distill.cluster_loss(v, labels, 0.1), zc, coords=6))
     worst_grad = max(worst_grad, fd_on_tensor(
-        lambda v: distill.cka_distill_loss(v, Tensor(zc), feats, 0.5), z))
+        lambda v: distill.cka_distill_loss(v, Tensor(zc), feats, 0.5), z, coords=6))
 
     student = distill.StudentClassifier(Rng(56))
     xs = rng.normal(size=(6, 2))
@@ -424,12 +352,11 @@ def test_criterion_5_numerical_checks(schedule, capsys):
         d = int(rng.integers(2, 7))
         n = int(rng.integers(1, d + 1))
         q = np.linalg.qr(rng.normal(size=(d, d)))[0][:, :n]
-        basis = canon.ExtraneousBasis(v=q, sigma=np.ones(n))
         k = int(rng.integers(0, n + 1))
         x = rng.normal(size=d)
-        px = canon.project_out(x, basis, k)
+        px = canon.project_out(x, q, k)
         proj_worst = max(proj_worst,
-                         float(np.max(np.abs(canon.project_out(px, basis, k) - px))),
+                         float(np.max(np.abs(canon.project_out(px, q, k) - px))),
                          float(np.max(np.abs(q[:, :k].T @ px))) if k else 0.0)
 
     ok = (worst_grad <= 1e-4 and svd_worst <= 1e-6

@@ -56,7 +56,8 @@ def test_canonicalize_reaches_the_traced_jacobian_and_svd():
     tracer.install()
     try:
         canon.canonicalize_batch(np.zeros((3, 2)), np.array([0, 1, 0]),
-                                 diffusion.CondDenoiser(Rng(0)), sched, t_e=50, t_r=10)
+                                 diffusion.CondDenoiser(Rng(0)), sched, t_e=50,
+                                 cfg_scale=1.0, t_r=10)
     finally:
         tracer.uninstall()
     spans = tracer.spans

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracle
-from diffcanon import canon, toydata
+from diffcanon import canon, numerics, toydata
 from diffcanon.diffusion import decode_batch
 from diffcanon.errors import DegenerateInputError, InvalidInputError
 from diffcanon.rng import Rng
@@ -59,24 +59,26 @@ def test_jacobian_rejects_timestep_zero(trained_model):
 # ---------------------------------------------------------------- directions / k
 
 
+# The directions are the right singular vectors of numerics.svd, every one of them.
+
+
 def test_directions_diagonal_case():
-    basis = canon.extraneous_directions(np.diag([5.0, 1.0]), 2)
-    assert np.allclose(np.abs(basis.v[:, 0]), [1.0, 0.0])
-    assert np.allclose(basis.sigma, [5.0, 1.0])
+    res = numerics.svd(np.diag([5.0, 1.0]))
+    assert np.allclose(np.abs(res.v[:, 0]), [1.0, 0.0])
+    assert np.allclose(res.sigma, [5.0, 1.0])
 
 
 def test_directions_n1_spectral_norm():
     j = Rng(3).normal(size=(6, 2))
-    basis = canon.extraneous_directions(j, 1)
-    assert basis.sigma[0] == pytest.approx(np.linalg.norm(j, ord=2), rel=1e-10)
-    assert basis.v.shape == (2, 1)
+    res = numerics.svd(j)
+    assert res.sigma[0] == pytest.approx(np.linalg.norm(j, ord=2), rel=1e-10)
+    assert res.v.shape == (2, 2)
 
 
 def test_top_direction_maximizes_amplification():
     rng = Rng(17)
     j = rng.normal(size=(8, 4))
-    basis = canon.extraneous_directions(j, 4)
-    top_gain = np.linalg.norm(j @ basis.v[:, 0])
+    top_gain = np.linalg.norm(j @ numerics.svd(j).v[:, 0])
     for _ in range(1000):
         u = rng.normal(size=4)
         u /= np.linalg.norm(u)
@@ -84,24 +86,20 @@ def test_top_direction_maximizes_amplification():
 
 
 def test_evr_formula():
-    basis = canon.ExtraneousBasis(v=np.eye(3), sigma=np.array([2.0, 1.0, 1.0]))
-    assert np.allclose(canon.evr_sequence(basis), [4 / 6, 5 / 6, 1.0])
+    assert np.allclose(canon.evr_sequence(np.array([2.0, 1.0, 1.0])), [4 / 6, 5 / 6, 1.0])
 
 
 def test_evr_rank_one():
-    basis = canon.ExtraneousBasis(v=np.eye(3), sigma=np.array([3.0, 0.0, 0.0]))
-    assert np.allclose(canon.evr_sequence(basis), [1.0, 1.0, 1.0])
+    assert np.allclose(canon.evr_sequence(np.array([3.0, 0.0, 0.0])), [1.0, 1.0, 1.0])
 
 
 def test_evr_single():
-    basis = canon.ExtraneousBasis(v=np.eye(1), sigma=np.array([1.0]))
-    assert np.allclose(canon.evr_sequence(basis), [1.0])
+    assert np.allclose(canon.evr_sequence(np.array([1.0])), [1.0])
 
 
 def test_evr_all_zero_raises():
-    basis = canon.ExtraneousBasis(v=np.eye(2), sigma=np.zeros(2))
     with pytest.raises(DegenerateInputError):
-        canon.evr_sequence(basis)
+        canon.evr_sequence(np.zeros(2))
 
 
 def test_select_k_worked_examples():
@@ -138,18 +136,18 @@ def test_stacked_calls_match_per_sample_calls():
     j[3] = 0.0
     j[3, :, 0] = 1.0     # rank one: EVR sequence [1, 1, 1, 1]
     x = rng.normal(size=(7, 4))
-    basis = canon.extraneous_directions(j, 4)
-    s = canon.evr_sequence(basis)
+    res = numerics.svd(j)
+    s = canon.evr_sequence(res.sigma)
     k = canon.select_k(s)
     k[0] = 0
-    out = canon.project_out(x, basis, k)
+    out = canon.project_out(x, res.v, k)
     for i in range(7):
-        one = canon.extraneous_directions(j[i], 4)
-        assert np.array_equal(basis.sigma[i], one.sigma)
-        assert np.array_equal(basis.v[i], one.v)
-        assert np.array_equal(s[i], canon.evr_sequence(one))
+        one = numerics.svd(j[i])
+        assert np.array_equal(res.sigma[i], one.sigma)
+        assert np.array_equal(res.v[i], one.v)
+        assert np.array_equal(s[i], canon.evr_sequence(one.sigma))
         assert k[i] == (0 if i == 0 else canon.select_k(s[i]))
-        assert np.allclose(out[i], canon.project_out(x[i], one, k[i]), rtol=0, atol=1e-14)
+        assert np.allclose(out[i], canon.project_out(x[i], one.v, k[i]), rtol=0, atol=1e-14)
     assert sorted(set(k.tolist()) - {0}) == [1, 2]
 
 
@@ -159,8 +157,7 @@ def test_evr_monotone_ending_at_one(sigmas):
     sig = np.sort(np.asarray(sigmas))[::-1]
     if np.sum(sig ** 2) == 0:
         return
-    basis = canon.ExtraneousBasis(v=np.eye(len(sig)), sigma=sig)
-    s = canon.evr_sequence(basis)
+    s = canon.evr_sequence(sig)
     assert np.all(np.diff(s) >= -1e-12)
     assert s[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -168,27 +165,19 @@ def test_evr_monotone_ending_at_one(sigmas):
 # ---------------------------------------------------------------- projection
 
 
-def _basis(v):
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[:, None]
-    return canon.ExtraneousBasis(v=v, sigma=np.ones(v.shape[1]))
-
-
 def test_project_k0_identity():
     x = np.array([3.0, -1.0])
-    basis = _basis(np.array([1.0, 0.0]))
-    assert np.array_equal(canon.project_out(x, basis, 0), x)
+    assert np.array_equal(canon.project_out(x, np.array([[1.0], [0.0]]), 0), x)
 
 
 def test_project_axis():
-    basis = _basis(np.array([1.0, 0.0]))
-    assert np.allclose(canon.project_out(np.array([1.0, 0.0]), basis, 1), [0.0, 0.0])
+    v = np.array([[1.0], [0.0]])
+    assert np.allclose(canon.project_out(np.array([1.0, 0.0]), v, 1), [0.0, 0.0])
 
 
 def test_project_diagonal_direction():
-    basis = _basis(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    out = canon.project_out(np.array([2.0, 0.0]), basis, 1)
+    v = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
+    out = canon.project_out(np.array([2.0, 0.0]), v, 1)
     assert np.allclose(out, [1.0, -1.0], atol=1e-12)
 
 
@@ -198,20 +187,19 @@ def test_project_idempotent_orthogonal_norm():
         m = rng.normal(size=(4, 4))
         q = np.linalg.qr(m)[0]
         k = int(rng.integers(1, 4))
-        basis = canon.ExtraneousBasis(v=q[:, :3], sigma=np.array([3.0, 2.0, 1.0]))
+        v = q[:, :3]
         x = rng.normal(size=4)
-        x1 = canon.project_out(x, basis, k)
-        x2 = canon.project_out(x1, basis, k)
+        x1 = canon.project_out(x, v, k)
+        x2 = canon.project_out(x1, v, k)
         assert np.linalg.norm(x2 - x1) <= 1e-10
         assert np.linalg.norm(x1) <= np.linalg.norm(x) + 1e-12
         for j in range(k):
-            assert abs(np.dot(x1, basis.v[:, j])) <= 1e-10
+            assert abs(np.dot(x1, v[:, j])) <= 1e-10
 
 
 def test_project_k_exceeds_basis_raises():
-    basis = _basis(np.array([1.0, 0.0]))
     with pytest.raises(InvalidInputError):
-        canon.project_out(np.array([1.0, 1.0]), basis, 2)
+        canon.project_out(np.array([1.0, 1.0]), np.array([[1.0], [0.0]]), 2)
 
 
 # ---------------------------------------------------------------- saturation rule
@@ -252,7 +240,7 @@ def test_saturation_choice_recheckable(accs):
 def te_reports(trained_model, schedule):
     grid = list(range(100, 1001, 100))
     return [canon.find_te(trained_model, schedule, toydata.bayes_rule, grid, 60,
-                          Rng(seed).split("te")) for seed in (0, 1, 2)]
+                          Rng(seed).split("te"), tol=0.02) for seed in (0, 1, 2)]
 
 
 def test_find_te_stable_across_seeds(te_reports):
@@ -282,7 +270,8 @@ def test_stacked_find_te_equals_per_block_decodes(trained_model, schedule, monke
 
     two_stage = canon.two_stage_batch
     monkeypatch.setattr(canon, "two_stage_batch", recorded)
-    report = canon.find_te(trained_model, schedule, toydata.bayes_rule, grid, m, Rng(21))
+    report = canon.find_te(trained_model, schedule, toydata.bayes_rule, grid, m, Rng(21),
+                           tol=0.02)
     assert len(stacked) == -(-len(grid) * 2 * m // canon._TE_ROWS)
     accuracies, blocks = [], []
     for t_e in grid:
@@ -303,9 +292,10 @@ def test_stacked_find_te_equals_per_block_decodes(trained_model, schedule, monke
 
 def test_find_te_rejects_bad_grid(trained_model, schedule):
     with pytest.raises(InvalidInputError):
-        canon.find_te(trained_model, schedule, toydata.bayes_rule, [], 10, Rng(0))
+        canon.find_te(trained_model, schedule, toydata.bayes_rule, [], 10, Rng(0), tol=0.02)
     with pytest.raises(InvalidInputError):
-        canon.find_te(trained_model, schedule, toydata.bayes_rule, [500, 100], 10, Rng(0))
+        canon.find_te(trained_model, schedule, toydata.bayes_rule, [500, 100], 10, Rng(0),
+                      tol=0.02)
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +303,8 @@ def class1_bundles(trained_model, schedule, dataset):
     xs, ys = dataset.xs, dataset.ys
     x1 = xs[ys == 1][:100]
     y1 = ys[ys == 1][:100]
-    bundles, x_te = canon.canonicalize_batch(x1, y1, trained_model, schedule, t_e=400, t_r=100)
+    bundles, x_te = canon.canonicalize_batch(x1, y1, trained_model, schedule,
+                                             t_e=400, cfg_scale=1.0, t_r=100)
     return x1, y1, bundles, x_te
 
 
@@ -348,8 +339,10 @@ VECTOR_COLUMNS = ("latent", "canonical_sample", "canonical_feature")
 def test_canonicalize_deterministic(trained_model, schedule, dataset):
     x = dataset.xs[dataset.ys == 1][:3]
     y = np.ones(3, dtype=np.int64)
-    b1, x_te1 = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600, t_r=100)
-    b2, x_te2 = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600, t_r=100)
+    b1, x_te1 = canon.canonicalize_batch(x, y, trained_model, schedule,
+                                         t_e=600, cfg_scale=1.0, t_r=100)
+    b2, x_te2 = canon.canonicalize_batch(x, y, trained_model, schedule,
+                                         t_e=600, cfg_scale=1.0, t_r=100)
     assert np.array_equal(x_te1, x_te2)
     for f in dataclasses.fields(canon.Bundles):
         assert np.array_equal(getattr(b1, f.name), getattr(b2, f.name)), f.name
@@ -366,10 +359,11 @@ def test_canonicalize_batch_equals_per_row_calls(denoiser, trained_model, schedu
     model = (trained_model if denoiser == "trained"
              else exact_oracle.ExactDenoiser(schedule.alpha_bar))
     x, y = mixed_batch(dataset)
-    batch, _ = canon.canonicalize_batch(x, y, model, schedule, t_e=600, t_r=100)
+    batch, _ = canon.canonicalize_batch(x, y, model, schedule, t_e=600, cfg_scale=1.0, t_r=100)
     assert np.all(batch.k == 1)
     for i in range(len(x)):
-        one, _ = canon.canonicalize_batch(x[i], y[i], model, schedule, t_e=600, t_r=100)
+        one, _ = canon.canonicalize_batch(x[i], y[i], model, schedule,
+                                          t_e=600, cfg_scale=1.0, t_r=100)
         assert len(one) == 1 and one.k[0] == 1
         for name in VECTOR_COLUMNS:
             assert np.allclose(getattr(batch, name)[i], getattr(one, name)[0],
@@ -381,9 +375,11 @@ def test_canonicalize_blocks_do_not_change_the_result(trained_model, schedule, d
     # not bitwise: BLAS sums a row of a 1-row block (row 9 here) in another
     # order than the same row inside a larger matrix product
     x, y = mixed_batch(dataset)
-    whole, _ = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600, t_r=100)
+    whole, _ = canon.canonicalize_batch(x, y, trained_model, schedule,
+                                        t_e=600, cfg_scale=1.0, t_r=100)
     monkeypatch.setattr(canon, "_BLOCK_ROWS", 3)
-    blocked, _ = canon.canonicalize_batch(x, y, trained_model, schedule, t_e=600, t_r=100)
+    blocked, _ = canon.canonicalize_batch(x, y, trained_model, schedule,
+                                          t_e=600, cfg_scale=1.0, t_r=100)
     assert np.array_equal(whole.k, blocked.k)
     for name in VECTOR_COLUMNS:
         assert np.allclose(getattr(whole, name), getattr(blocked, name), rtol=0, atol=1e-12)

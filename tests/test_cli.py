@@ -33,7 +33,7 @@ REDUCED = [
 # on the code; a change that moves bits re-pins them and says why.
 GOLDEN_SHA256 = {
     "toy_data.csv": "e2cbefba5304cbec56c6447b2040c6b8df07a2b7a0c5fa745fc51e5b144b9cfa",
-    "cdm_checkpoint.json": "9b656a1a437f08c9d880da1740303aa5d63538912c7bd7c40f0630e8e79d2351",
+    "cdm_checkpoint.json": "14a35476a22646206a12467ff8862f00bece23eed31abe44ebee5cfe3e63e7a8",
     "cdm_loss.csv": "02bfdfa30ce8d5b746b332dc947d94ab902e15fab6f5a0f120d76f6fc1159f4a",
     "te_report.json": "ad805386263a2374aeab617f9c1da5c56a68f14e8b97881a6315b4f588ea6da0",
     "te_curve.csv": "251a5021033dbd25660f57213368a740ad88e996dabbb6979740b89666e3867b",
@@ -41,9 +41,9 @@ GOLDEN_SHA256 = {
     "before_after.csv": "69519c0ed058314a7464b06a89bcb0e76e3cc46617262d955189fc52142c623f",
     "features_report.json": "9fc3e97bd189c5ea9a7b84501e447ed031a9e2bf8bee6dd0d10614a23865fcd9",
     "pool.jsonl": "0bee926a94fe48c236b574ff357f0ff658e408981c1905d25015301e6833620f",
-    "student_checkpoint.json": "b659982db308a32686c9764648c9fd83a64cdcec31ce8fa2f254acd8bc5a5089",
+    "student_checkpoint.json": "c1fca9761498a258ece19834dc31f07c98a223a0b47ad3bdc14fcee251b8e74d",
     "student_loss.csv": "778ab1fbf66058a62dd9247eab1e273f9d79287dbe1abc829c2937e21e0bd6bb",
-    "vanilla_checkpoint.json": "cc2afe14626231bfe952b214b18c79d9dafda32f4a60af7685dcebe5cd26aeca",
+    "vanilla_checkpoint.json": "9f8b1cd8a2d79c234e5eabb3c1ab898136d92ef9029a59e93b6d56f8e7f20cb0",
     "vanilla_loss.csv": "dedd880b24d6c43ea31942439e9b7dbb15bdfd4bcb4542d781b2d66b993efb08",
     "metrics_student.json": "f8bc00116fca1a3602b73ca54da7ed49bf5143c7425bf855e17063e942c16c98",
     "metrics_vanilla.json": "81c01ec6ac424d92e1d5baf9ed3263985958485948fb96dc067e7c5cb933c6ee",
@@ -58,7 +58,7 @@ CONFIG_KEYS = {
     "schedule.t_max", "schedule.beta_start", "schedule.beta_end", "schedule.ddim_steps",
     "cdm.epochs", "cdm.batch_size", "cdm.lr", "cdm.label_drop",
     "te.m", "te.tol", "te.grid_fractions",
-    "clarid.t_e", "clarid.cfg_scale", "clarid.t_r", "clarid.n_samples", "clarid.class_filter",
+    "clarid.t_e", "clarid.cfg_scale", "clarid.t_r", "clarid.n_samples",
     "pool.fraction",
     "student.vanilla", "student.tau", "student.lambda_cs", "student.lambda_cf",
     "student.lambda_dist", "student.lambda_cka", "student.epochs", "student.batch_size",
@@ -350,13 +350,46 @@ def copy_artifacts(src: str, dst, *names: str) -> None:
         shutil.copy(os.path.join(src, name), dst)
 
 
-@pytest.mark.parametrize("selection", ["clarid.n_samples=0", "clarid.n_samples=-1",
-                                       "clarid.class_filter=5"])
+@pytest.mark.parametrize("selection", ["clarid.n_samples=0", "clarid.n_samples=-1"])
 def test_clarid_refuses_an_empty_selection(recipe_dir, tmp_path, capsys, selection):
     copy_artifacts(recipe_dir, tmp_path, "toy_data.csv", "cdm_checkpoint.json", "te_report.json")
     assert run("clarid", str(tmp_path), "--set", selection) == 1
     assert "code=CONFIG_ERROR" in capsys.readouterr().err
     assert not (tmp_path / "bundles.jsonl").exists()
+
+
+# Each setting that a stage would read as another value or fail on, the stage
+# that reads it, and the artifact that stage must then not write.
+REFUSED_SETTINGS = [
+    ("clarid", "clarid.cfg_scale", "nan", "bundles.jsonl"),
+    ("clarid", "clarid.cfg_scale", "inf", "bundles.jsonl"),
+    ("build-pool", "pool.fraction", "nan", "pool.jsonl"),
+    ("train-cdm", "cdm.lr", "-inf", "cdm_loss.csv"),
+    ("clarid", "clarid.t_e", "-5", "bundles.jsonl"),
+    ("clarid", "schedule.ddim_steps", "-1", "bundles.jsonl"),
+    ("clarid", "schedule.ddim_steps", "0", "bundles.jsonl"),
+    ("build-pool", "pool.fraction", "-1", "pool.jsonl"),
+    ("build-pool", "pool.fraction", "0", "pool.jsonl"),
+    ("build-pool", "pool.fraction", "7", "pool.jsonl"),
+    ("find-te", "te.tol", "-1", "te_curve.csv"),
+]
+
+
+@pytest.mark.parametrize("source", ["--set", "--config"])
+@pytest.mark.parametrize("stage,key,value,artifact", REFUSED_SETTINGS)
+def test_a_setting_out_of_range_is_refused(recipe_dir, tmp_path, capsys, source, stage, key,
+                                           value, artifact):
+    copy_artifacts(recipe_dir, tmp_path, "toy_data.csv", "cdm_checkpoint.json", "te_report.json")
+    if source == "--set":
+        extra = ["--set", f"{key}={value}"]
+    else:  # json writes float("nan") as NaN, which json.load reads back
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: type(config.DEFAULTS[key])(value)}))
+        extra = ["--config", str(cfg_file)]
+    assert run(stage, str(tmp_path), *extra) == 1
+    err = capsys.readouterr().err
+    assert "code=CONFIG_ERROR" in err and key in err
+    assert not (tmp_path / artifact).exists()
 
 
 @pytest.mark.parametrize("entry", ["abc", "nan", "inf", "2", "-0.1"])

@@ -4,38 +4,14 @@ import numpy as np
 import pytest
 
 import tape_oracle as oracle
+from brute_oracle import brute_align, brute_cluster, fd_on_tensor
 from diffcanon import distill, toydata
 from diffcanon.autodiff import Tensor
 from diffcanon.canon import Bundles
 from diffcanon.errors import ConfigError, InvalidInputError
 from diffcanon.rng import Rng
 
-# ---------------------------------------------------------------- oracles
-
-
-def brute_align(z, zc, labels, tau):
-    b = len(labels)
-    total = 0.0
-    for i in range(b):
-        pos = [j for j in range(b) if labels[j] == labels[i]]
-        denom = sum(math.exp(np.dot(z[i], zc[k]) / tau) for k in range(b))
-        s = sum(math.log(math.exp(np.dot(z[i], zc[j]) / tau) / denom) for j in pos)
-        total += s / len(pos)
-    return -total / b
-
-
-def brute_cluster(zc, labels, tau):
-    b = len(labels)
-    total = 0.0
-    for i in range(b):
-        pos = [j for j in range(b) if j != i and labels[j] == labels[i]]
-        denom = sum(math.exp(np.dot(zc[i], zc[k]) / tau) for k in range(b) if k != i)
-        if pos:
-            s = sum(math.log(math.exp(np.dot(zc[i], zc[j]) / tau) / denom) for j in pos)
-            total += -s / len(pos)
-        else:
-            total += math.log(denom)
-    return total / b
+# ---------------------------------------------------------------- batches
 
 
 def unit_rows(a):
@@ -169,30 +145,17 @@ def test_loss_signs_on_random_batches():
 # ---------------------------------------------------------------- gradients
 
 
-def fd_check(build, x0, tol=1e-4, h=1e-6, coords=8):
-    t = Tensor(x0.copy(), requires_grad=True)
-    build(t).backward()
-    worst = 0.0
-    for ci in Rng(0).integers(0, x0.size, size=coords):
-        xp, xm = x0.copy(), x0.copy()
-        xp.reshape(-1)[ci] += h
-        xm.reshape(-1)[ci] -= h
-        fd = (build(Tensor(xp)).item() - build(Tensor(xm)).item()) / (2 * h)
-        got = t.grad.reshape(-1)[ci]
-        worst = max(worst, abs(fd - got) / max(abs(fd), abs(got), 1e-8))
-    assert worst <= tol, f"worst relative error {worst:.3e}"
-
-
 def test_align_gradient_finite_difference():
     rng = Rng(31)
     z, zc, labels = rand_batch(rng, 6)
-    fd_check(lambda t: distill.align_loss(t, Tensor(zc), labels, 0.1), z)
+    assert fd_on_tensor(lambda t: distill.align_loss(t, Tensor(zc), labels, 0.1), z,
+                        coords=8) <= 1e-4
 
 
 def test_cluster_gradient_finite_difference():
     rng = Rng(32)
     _, zc, labels = rand_batch(rng, 6)
-    fd_check(lambda t: distill.cluster_loss(t, labels, 0.1), zc)
+    assert fd_on_tensor(lambda t: distill.cluster_loss(t, labels, 0.1), zc, coords=8) <= 1e-4
 
 
 def test_cka_gradient_finite_difference():
@@ -200,7 +163,8 @@ def test_cka_gradient_finite_difference():
     z = rng.normal(size=(7, 3))
     zc = rng.normal(size=(7, 3))
     a = rng.normal(size=(7, 4))
-    fd_check(lambda t: distill.cka_distill_loss(t, Tensor(zc), a, 0.5), z)
+    assert fd_on_tensor(lambda t: distill.cka_distill_loss(t, Tensor(zc), a, 0.5), z,
+                        coords=8) <= 1e-4
 
 
 def test_total_loss_gradient_finite_difference(tiny_pool):
@@ -463,7 +427,7 @@ def test_vanilla_student_reaches_95_clean():
     cfg = distill.DistillConfig(epochs=60)
     student, _ = distill.train_student(data, None, cfg, Rng(0).split("student"))
     held_out = toydata.sample_dataset(500, Rng(99))
-    report = distill.evaluate(student, held_out)
+    report = distill.evaluate(student, held_out, distill.AttackConfig(), Rng(98))
     assert report.clean_accuracy >= 0.95
 
 
@@ -507,14 +471,17 @@ def test_pgd_zero_gradient_stays_at_random_start():
 
 
 def test_pgd_single_step_zero_start_is_fgsm(trained_student):
+    # one step is FGSM taken from the random start, then clipped to the ball
     x = np.array([[3.5, 0.2], [0.5, -0.1]])
     y = np.array([1, 0])
     atk = distill.AttackConfig(epsilon=0.1, steps=1, step_size=0.1)
-    out = distill.pgd_attack(trained_student, x, y, atk, rng=None)
-    x_t = Tensor(x.copy(), requires_grad=True)
+    out = distill.pgd_attack(trained_student, x, y, atk, Rng(51))
+    start = x + Rng(51).uniform(-0.1, 0.1, size=x.shape)
+    x_t = Tensor(start.copy(), requires_grad=True)
     _, logits = trained_student.forward_graph(x_t)
     distill.cross_entropy(logits, y).backward()
-    assert np.array_equal(out, x + 0.1 * np.sign(x_t.grad))
+    assert np.all(x_t.grad != 0)
+    assert np.array_equal(out, np.clip(start + 0.1 * np.sign(x_t.grad), x - 0.1, x + 0.1))
 
 
 def test_pgd_ball_constraint_1000_trials(trained_student):
@@ -568,23 +535,16 @@ def test_attack_config_validation(trained_student):
                            distill.AttackConfig(steps=0), Rng(0))
 
 
-class BayesStudent:
-    """Hand-coded optimal rule wrapped in the student interface."""
-
-    def predict(self, x):
-        return toydata.bayes_rule(np.atleast_2d(x))
-
-
 def test_bayes_rule_student_is_perfect_on_cores():
     xs = [toydata.toy_point(y, u, np.zeros(2)) for y in (0, 1) for u in (-0.1, 0.0, 0.1)]
-    data = toydata.ToyDataset(xs=np.stack(xs), ys=np.array([0, 0, 0, 1, 1, 1]))
-    report = distill.evaluate(BayesStudent(), data)
-    assert report.clean_accuracy == 1.0
+    assert np.array_equal(toydata.bayes_rule(np.stack(xs)), [0, 0, 0, 1, 1, 1])
 
 
 def test_random_students_average_half_accuracy():
     data = toydata.sample_dataset(2000, Rng(8).split("data"))
-    accs = [distill.evaluate(distill.StudentClassifier(Rng(1000 + i)), data).clean_accuracy
+    atk = distill.AttackConfig()
+    accs = [distill.evaluate(distill.StudentClassifier(Rng(1000 + i)), data, atk,
+                             Rng(2000 + i)).clean_accuracy
             for i in range(40)]
     assert abs(float(np.mean(accs)) - 0.5) <= 0.05
 

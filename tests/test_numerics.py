@@ -1,11 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tape_oracle as oracle
+from brute_oracle import brute_elbow, brute_nmi
 from diffcanon import numerics
 from diffcanon.errors import DegenerateInputError, InvalidInputError
 from diffcanon.rng import Rng
@@ -99,24 +98,6 @@ def test_kmeans_inertia_nonincreasing_over_iterations():
 # ---------------------------------------------------------------- nmi
 
 
-def brute_nmi(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    n = len(a)
-    av, bv = np.unique(a), np.unique(b)
-    mi = 0.0
-    for x in av:
-        for y in bv:
-            pxy = np.sum((a == x) & (b == y)) / n
-            if pxy > 0:
-                px = np.sum(a == x) / n
-                py = np.sum(b == y) / n
-                mi += pxy * math.log(pxy / (px * py))
-    ha = -sum((np.sum(a == x) / n) * math.log(np.sum(a == x) / n) for x in av)
-    hb = -sum((np.sum(b == y) / n) * math.log(np.sum(b == y) / n) for y in bv)
-    denom = 0.5 * (ha + hb)
-    return 0.0 if denom == 0 else mi / denom
-
-
 def test_nmi_permutation_relabel():
     labels = np.array([0, 0, 1, 1, 2, 2])
     relabeled = np.array([5, 5, 3, 3, 9, 9])
@@ -190,23 +171,6 @@ def test_cka_degenerate_raises():
 
 
 # ---------------------------------------------------------------- elbow_index
-
-
-def brute_elbow(s):
-    s = [float(v) for v in s]
-    n = len(s)
-    if n < 2:
-        return 0
-    dx, dy = float(n - 1), s[-1] - s[0]
-    norm = math.hypot(dx, dy)
-    if norm == 0:
-        return 0
-    dists = [abs(dy * i - dx * (s[i] - s[0])) / norm for i in range(n)]
-    best = 0
-    for i in range(1, n):
-        if dists[i] > dists[best]:
-            best = i
-    return best
 
 
 def test_elbow_step_sequence():

@@ -5,12 +5,15 @@ Code that only the tests call belongs beside the tests (`tape_oracle.py`,
 """
 
 import ast
+import functools
+import inspect
 import io
 import tokenize
 from collections import defaultdict
 from pathlib import Path
 
 import diffcanon
+from diffcanon import cli
 
 SRC = Path(diffcanon.__file__).parent
 
@@ -63,3 +66,24 @@ def unreferenced_definitions() -> set[str]:
 
 def test_every_definition_in_src_has_a_caller_in_src():
     assert unreferenced_definitions() == set(UNREFERENCED)
+
+
+def test_a_setting_passed_by_keyword_has_no_second_default():
+    """A keyword argument that cli.py takes from cfg[...] must meet a parameter
+    with no default, so that the config key's default is the only one."""
+    callees, repeated = set(), []
+    for call in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if not isinstance(call, ast.Call):
+            continue
+        for kw in call.keywords:
+            value = kw.value
+            if (isinstance(value, ast.Subscript) and isinstance(value.value, ast.Name)
+                    and value.value.id == "cfg"):
+                name = ast.unparse(call.func)
+                callees.add(name)
+                param = inspect.signature(
+                    functools.reduce(getattr, name.split("."), cli)).parameters[kw.arg]
+                if param.default is not inspect.Parameter.empty:
+                    repeated.append(f"{name}({kw.arg}={param.default!r})")
+    assert {"canon.find_te", "canon.canonicalize_batch"} <= callees
+    assert repeated == []

@@ -186,8 +186,8 @@ class _FlatOptimizer:
 class Adam(_FlatOptimizer):
     """Standard bias-corrected Adam over a list of parameter Tensors."""
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
         super().__init__(params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros_like(self.flat)

@@ -124,7 +124,7 @@ def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
         res = svd(jacobian(model, x_te[rows], t_e, ys[rows]))
         ks[rows] = select_k(evr_sequence(res.sigma))
         latents[rows] = project_out(x_te[rows], res.v, ks[rows])
-    samples = decode_batch(latents, t_e, ys, model, sched, cfg_scale)
+    samples = decode_batch(latents, t_e, ys, model, sched, cfg_scale=cfg_scale)
     feats = read_features(samples, ys, model, sched, t_r)
     n = len(xs)
     return Bundles(seed_sample_id=np.arange(n), t_e=np.full(n, t_e, dtype=np.int64), k=ks,

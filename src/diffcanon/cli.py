@@ -2,9 +2,9 @@
 
 Stages share one output directory and find each other's artifacts there
 by fixed file names, so the full recipe is a chain of invocations with
-the same --out. Each invocation echoes its resolved configuration next
-to the outputs; re-running any stage from that echo reproduces its
-artifacts byte for byte.
+the same --out. Each invocation that succeeds echoes its resolved
+configuration next to the outputs; re-running any stage from that echo
+reproduces its artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -36,13 +36,6 @@ POOL_FILE = "pool.jsonl"
 SUMMARY = "summary.csv"
 
 
-def _schedule(cfg: dict) -> diffusion.NoiseSchedule:
-    if cfg["schedule.ddim_steps"] < 1:
-        raise ConfigError(f"schedule.ddim_steps must be at least 1, "
-                          f"got {cfg['schedule.ddim_steps']}")
-    return config.build(cfg, "schedule", diffusion.linear_schedule)
-
-
 def _require(path: str, hint: str) -> str:
     if not os.path.exists(path):
         raise FileNotFoundError(f"{hint} not found at {path}; run the producing stage first")
@@ -50,9 +43,6 @@ def _require(path: str, hint: str) -> str:
 
 
 def _chosen_te(cfg: dict, out: str) -> int:
-    if cfg["clarid.t_e"] < 0:
-        raise ConfigError(f"clarid.t_e must be at least 0 (0 reads the search report), "
-                          f"got {cfg['clarid.t_e']}")
     if cfg["clarid.t_e"] > 0:
         return cfg["clarid.t_e"]
     with open(_require(os.path.join(out, TE_REPORT), "saturation report")) as f:
@@ -70,13 +60,6 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
-
-
-def _select_indices(ys: np.ndarray, cfg: dict) -> np.ndarray:
-    idx = np.arange(len(ys))[:max(cfg["clarid.n_samples"], 0)]
-    if len(idx) == 0:
-        raise ConfigError("clarid selects no samples; see clarid.n_samples")
-    return idx
 
 
 def _canonicalize(cfg: dict, model, sched, t_e: int, xs, ys, idx,
@@ -101,7 +84,7 @@ def cmd_gen_data(cfg: dict, out: str) -> None:
 
 def cmd_train_cdm(cfg: dict, out: str) -> None:
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
-    sched = _schedule(cfg)
+    sched = config.build(cfg, "schedule", diffusion.linear_schedule)
     tc = config.build(cfg, "cdm", diffusion.TrainConfig)
     model, losses = diffusion.train_cdm(dataset, sched, tc, Rng(cfg["seed"]).split("cdm"))
     diffusion.save_checkpoint(model, os.path.join(out, CDM_CKPT))
@@ -110,10 +93,8 @@ def cmd_train_cdm(cfg: dict, out: str) -> None:
 
 
 def cmd_find_te(cfg: dict, out: str) -> None:
-    if cfg["te.tol"] < 0:
-        raise ConfigError(f"te.tol must be at least 0, got {cfg['te.tol']}")
     model = diffusion.load_checkpoint(_require(os.path.join(out, CDM_CKPT), "denoiser checkpoint"))
-    sched = _schedule(cfg)
+    sched = config.build(cfg, "schedule", diffusion.linear_schedule)
     grid = config.grid_from_config(cfg)
     report = canon.find_te(model, sched, toydata.bayes_rule, grid, cfg["te.m"],
                            Rng(cfg["seed"]).split("te"), tol=cfg["te.tol"])
@@ -125,14 +106,15 @@ def cmd_find_te(cfg: dict, out: str) -> None:
 def cmd_clarid(cfg: dict, out: str) -> None:
     model = diffusion.load_checkpoint(_require(os.path.join(out, CDM_CKPT), "denoiser checkpoint"))
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
-    sched = _schedule(cfg)
+    sched = config.build(cfg, "schedule", diffusion.linear_schedule)
     t_e = _chosen_te(cfg, out)
     xs, ys = dataset.xs, dataset.ys
-    idx = _select_indices(ys, cfg)
+    idx = np.arange(min(cfg["clarid.n_samples"], len(ys)))
     sel_x, sel_y = xs[idx], ys[idx]
     bundles, x_te = _canonicalize(cfg, model, sched, t_e, xs, ys, idx,
                                   os.path.join(out, BUNDLES))
-    baseline = diffusion.decode_batch(x_te, t_e, sel_y, model, sched, cfg["clarid.cfg_scale"])
+    baseline = diffusion.decode_batch(x_te, t_e, sel_y, model, sched,
+                                      cfg_scale=cfg["clarid.cfg_scale"])
     points = (sel_x, baseline, bundles.canonical_sample)
     coords = np.concatenate(points, axis=1).tolist()
     dists = np.stack([toydata.distance_to_core_segment(p, sel_y) for p in points],
@@ -155,7 +137,7 @@ def cmd_eval_features(cfg: dict, out: str) -> None:
     ids, labels = bundles.seed_sample_id, bundles.cond
     if np.any((ids < 0) | (ids >= len(dataset))):
         raise InvalidInputError(f"{path} names samples outside the {len(dataset)} dataset rows")
-    sched = _schedule(cfg)
+    sched = config.build(cfg, "schedule", diffusion.linear_schedule)
     orig_feats = canon.read_features(dataset.xs[ids], labels, model, sched, cfg["clarid.t_r"])
     k = len(np.unique(labels))
     rng = Rng(cfg["seed"])
@@ -170,11 +152,9 @@ def cmd_eval_features(cfg: dict, out: str) -> None:
 
 
 def cmd_build_pool(cfg: dict, out: str) -> None:
-    if not 0 < cfg["pool.fraction"] <= 1:
-        raise ConfigError(f"pool.fraction must be in (0, 1], got {cfg['pool.fraction']}")
     model = diffusion.load_checkpoint(_require(os.path.join(out, CDM_CKPT), "denoiser checkpoint"))
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
-    sched = _schedule(cfg)
+    sched = config.build(cfg, "schedule", diffusion.linear_schedule)
     t_e = _chosen_te(cfg, out)
     xs, ys = dataset.xs, dataset.ys
     picked = distill.pool_rows(ys, cfg["pool.fraction"], Rng(cfg["seed"]).split("pool-select"))
@@ -198,8 +178,6 @@ def cmd_train_student(cfg: dict, out: str) -> None:
 
 def cmd_attack(cfg: dict, out: str) -> None:
     target = cfg["attack.target"]
-    if target not in ("student", "vanilla"):
-        raise ConfigError(f"attack.target must be student or vanilla, got {target!r}")
     student = distill.load_student(
         _require(os.path.join(out, f"{target}_checkpoint.json"), f"{target} checkpoint"))
     eval_data = toydata.sample_dataset(cfg["eval.n"], Rng(cfg["seed"]).split("eval-data"))
@@ -298,15 +276,16 @@ def main(argv: list[str] | None = None) -> int:
         cfg = config.resolve(args.config, overrides)
         out = cfg["out"]
         os.makedirs(out, exist_ok=True)
-        # train-student/attack run once per variant; keep one echo per variant
-        # so any artifact can be reproduced from its own echoed config.
+        COMMANDS[args.command](cfg, out)
+        # The echo is written only once the stage succeeds, so a failed call keeps the
+        # last good one. train-student/attack run once per variant; keep one echo per
+        # variant so any artifact can be reproduced from its own echoed config.
         echo = args.command
         if args.command == "train-student":
             echo += ".vanilla" if cfg["student.vanilla"] else ".distill"
         elif args.command == "attack":
             echo += f".{cfg['attack.target']}"
         _write_json(cfg, os.path.join(out, f"resolved_config.{echo}.json"))
-        COMMANDS[args.command](cfg, out)
     except tuple(ERROR_CODES) as exc:
         code = next(c for t, c in ERROR_CODES.items() if isinstance(exc, t))
         print(f"error code={code} command={args.command} detail={exc}", file=sys.stderr)

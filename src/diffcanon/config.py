@@ -3,9 +3,10 @@
 Defaults cover every tunable in the pipeline. The schedule, cdm, student
 and attack keys are the parameters of the signatures that `build` calls,
 with their defaults. A JSON config file and `--set key=value` overrides
-may only touch known keys; values are coerced to the default's type.
-Precedence: CLI > file > defaults. The resolved map is echoed next to
-the outputs so any artifact can be reproduced from its own directory.
+may only touch known keys; values are coerced to the default's type, and
+one outside its RANGES entry is refused. Precedence: CLI > file > defaults.
+The resolved map is echoed next to the outputs so any artifact can be
+reproduced from its own directory.
 """
 
 from __future__ import annotations
@@ -78,8 +79,24 @@ def _coerce(key: str, value: object) -> object:
     return str(value)
 
 
+# The range of each bounded setting, as (text, test of the value and schedule.t_max).
+RANGES: dict[str, tuple] = {
+    **dict.fromkeys(("data.n", "schedule.t_max", "schedule.ddim_steps", "cdm.batch_size", "te.m",
+                     "clarid.n_samples", "student.batch_size", "attack.steps", "eval.n"),
+                    ("at least 1", lambda v, t_max: v >= 1)),
+    "te.tol": ("at least 0", lambda v, t_max: v >= 0),
+    # clarid.t_e 0 reads the choice from the search report
+    **dict.fromkeys(("clarid.t_e", "clarid.t_r"),
+                    ("in [0, schedule.t_max = {t_max}]", lambda v, t_max: 0 <= v <= t_max)),
+    "pool.fraction": ("in (0, 1]", lambda v, t_max: 0 < v <= 1),
+    "attack.epsilon": ("above 0", lambda v, t_max: v > 0),
+    "attack.target": ("student or vanilla", lambda v, t_max: v in ("student", "vanilla")),
+}
+
+
 def resolve(config_path: str | None = None, overrides: dict[str, object] | None = None) -> dict:
-    """Merge defaults, an optional JSON file, and override pairs, in that order."""
+    """Merge defaults, an optional JSON file, and override pairs, in that order,
+    and refuse a setting outside its RANGES entry or a bad te.grid_fractions."""
     cfg = dict(DEFAULTS)
     if config_path is not None:
         try:
@@ -93,6 +110,11 @@ def resolve(config_path: str | None = None, overrides: dict[str, object] | None 
             raise ConfigError("config file must hold a flat JSON object")
         cfg.update((key, _coerce(key, value)) for key, value in loaded.items())
     cfg.update((key, _coerce(key, value)) for key, value in (overrides or {}).items())
+    t_max = cfg["schedule.t_max"]
+    for key, (text, within) in RANGES.items():
+        if not within(cfg[key], t_max):
+            raise ConfigError(f"{key} must be {text.format(t_max=t_max)}, got {cfg[key]!r}")
+    grid_from_config(cfg)
     return cfg
 
 

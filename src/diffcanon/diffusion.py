@@ -26,7 +26,7 @@ import numpy as np
 from . import _BLAS_VARS
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, InvalidInputError, TrainingDivergedError
+from .errors import InvalidInputError, TrainingDivergedError
 from .rng import Rng
 from .toydata import ToyDataset
 
@@ -357,8 +357,6 @@ def train_cdm(data: ToyDataset, sched: NoiseSchedule, cfg: TrainConfig, rng: Rng
     Adam iterate, whose class means drift from epoch to epoch at a
     constant learning rate; the losses are those of the live iterate.
     """
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch_size must be at least 1, got {cfg.batch_size}")
     if len(data) == 0:
         raise InvalidInputError("empty dataset")
     model = CondDenoiser(rng.split("init"))
@@ -465,8 +463,8 @@ def _walk_batch(x, ts, cond, model, sched, cfg_scale=1.0, te_switch=None) -> np.
         model, sched, cfg_scale), b)
 
 
-def decode_batch(x: np.ndarray, t: int, cond, model: CondDenoiser, sched: NoiseSchedule,
-                 cfg_scale: float = 1.0, te_switch=None) -> np.ndarray:
+def decode_batch(x: np.ndarray, t: int, cond, model: CondDenoiser, sched: NoiseSchedule, *,
+                 cfg_scale: float, te_switch=None) -> np.ndarray:
     """Deterministic DDIM decode of a batch from timestep t down to 0.
 
     With te_switch set (one timestep, or one per row), a row uses the null
@@ -483,16 +481,16 @@ def invert_batch(x0: np.ndarray, target_t: int, cond, model: CondDenoiser,
     return _walk_batch(x0, ddim_grid(sched, target_t), cond, model, sched)
 
 
-def two_stage_batch(x_T: np.ndarray, t_e, cond, model: CondDenoiser, sched: NoiseSchedule,
-                    cfg_scale: float = 1.0) -> np.ndarray:
-    """Decode x_T from T: null condition above t_e, the class condition at or below.
+def two_stage_batch(x_T: np.ndarray, t_e, cond, model: CondDenoiser,
+                    sched: NoiseSchedule) -> np.ndarray:
+    """Decode x_T from T, unguided: null condition above t_e, the class condition at or below.
 
     t_e and cond are one value for every row or one per row.
     """
     t_e = np.asarray(t_e)
     if np.any(t_e < 0) or np.any(t_e > sched.t_max):
         raise InvalidInputError(f"t_e out of range [0, {sched.t_max}]")
-    return decode_batch(x_T, sched.t_max, cond, model, sched, cfg_scale, te_switch=t_e)
+    return decode_batch(x_T, sched.t_max, cond, model, sched, cfg_scale=1.0, te_switch=t_e)
 
 
 def save_checkpoint(model: CondDenoiser, path: str) -> None:

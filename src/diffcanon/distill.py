@@ -318,8 +318,6 @@ def train_student(data: ToyDataset, pool: Bundles | None, cfg: DistillConfig,
 
     Returns (student, per-epoch component log).
     """
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch_size must be at least 1, got {cfg.batch_size}")
     if pool is not None:
         missing = np.setdiff1d(data.ys, pool.cond)
         if len(missing):

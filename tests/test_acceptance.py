@@ -63,7 +63,8 @@ def class1_canonicalization(model, dataset, schedule, t_e):
     bundles, x_te = canon.canonicalize_batch(sel_x, sel_y, model, schedule, t_e,
                                              cfg_scale=config.DEFAULTS["clarid.cfg_scale"],
                                              t_r=config.DEFAULTS["clarid.t_r"])
-    baseline = diffusion.decode_batch(x_te, t_e, sel_y, model, schedule)
+    baseline = diffusion.decode_batch(x_te, t_e, sel_y, model, schedule,
+                                      cfg_scale=config.DEFAULTS["clarid.cfg_scale"])
     canonical = bundles.canonical_sample
     return {
         "sel_x": sel_x, "sel_y": sel_y, "bundles": bundles, "x_te": x_te,
@@ -180,7 +181,7 @@ def test_criterion_3_inversion_roundtrip(trained_model, dataset, schedule, capsy
     xs, ys = dataset.xs[:100], dataset.ys[:100]
     t_hi = round(0.8 * schedule.t_max)
     latents = diffusion.invert_batch(xs, t_hi, ys, trained_model, schedule)
-    back = diffusion.decode_batch(latents, t_hi, ys, trained_model, schedule)
+    back = diffusion.decode_batch(latents, t_hi, ys, trained_model, schedule, cfg_scale=1.0)
     rel = (np.linalg.norm(back - xs, axis=1)
            / np.maximum(np.linalg.norm(xs, axis=1), 1e-12))
     med = float(np.median(rel))

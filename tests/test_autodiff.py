@@ -246,7 +246,7 @@ def test_flat_optimizers_match_per_parameter_reference(kind):
 def test_flat_optimizers_refuse_a_missing_gradient():
     for kind in (ad.Adam, ad.SgdMomentum):
         tensors = [ad.Tensor(np.ones(s), requires_grad=True) for s in (3, 2)]
-        opt = kind(tensors)
+        opt = kind(tensors, lr=0.01)
         tensors[0].grad = np.ones(3)
         with pytest.raises(ContractError, match="parameter 1 has no gradient"):
             opt.step()

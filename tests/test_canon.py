@@ -279,7 +279,7 @@ def test_stacked_find_te_equals_per_block_decodes(trained_model, schedule, monke
         for c in (0, 1):
             x_T = Rng(21).split(f"te-{t_e}-c{c}").normal((m, 2))
             blocks.append(decode_batch(x_T, schedule.t_max, c, trained_model, schedule,
-                                       te_switch=t_e))
+                                       cfg_scale=1.0, te_switch=t_e))
             correct += int(np.sum(toydata.bayes_rule(blocks[-1]) == c))
         accuracies.append(correct / (2 * m))
     assert report.accuracies == accuracies
@@ -311,7 +311,7 @@ def class1_bundles(trained_model, schedule, dataset):
 def test_canonical_distance_not_worse_than_roundtrip(class1_bundles, trained_model,
                                                      schedule):
     x1, y1, bundles, x_te = class1_bundles
-    base = decode_batch(x_te, 400, y1, trained_model, schedule)
+    base = decode_batch(x_te, 400, y1, trained_model, schedule, cfg_scale=1.0)
     d_canon = np.median(toydata.distance_to_core_segment(bundles.canonical_sample, y1))
     d_base = np.median(toydata.distance_to_core_segment(base, y1))
     assert d_canon <= d_base

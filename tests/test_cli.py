@@ -372,6 +372,15 @@ REFUSED_SETTINGS = [
     ("build-pool", "pool.fraction", "0", "pool.jsonl"),
     ("build-pool", "pool.fraction", "7", "pool.jsonl"),
     ("find-te", "te.tol", "-1", "te_curve.csv"),
+    ("gen-data", "data.n", "0", "toy_data.csv"),
+    ("train-cdm", "schedule.t_max", "0", "cdm_loss.csv"),
+    ("find-te", "te.m", "0", "te_curve.csv"),
+    ("clarid", "clarid.t_e", "5000", "bundles.jsonl"),
+    ("clarid", "clarid.t_r", "-3", "bundles.jsonl"),
+    ("attack", "attack.steps", "0", "metrics_student.json"),
+    ("attack", "attack.epsilon", "-1", "metrics_student.json"),
+    ("attack", "eval.n", "0", "metrics_student.json"),
+    ("attack", "attack.target", "foo", "metrics_foo.json"),
 ]
 
 
@@ -379,17 +388,38 @@ REFUSED_SETTINGS = [
 @pytest.mark.parametrize("stage,key,value,artifact", REFUSED_SETTINGS)
 def test_a_setting_out_of_range_is_refused(recipe_dir, tmp_path, capsys, source, stage, key,
                                            value, artifact):
-    copy_artifacts(recipe_dir, tmp_path, "toy_data.csv", "cdm_checkpoint.json", "te_report.json")
+    inputs = ("toy_data.csv", "cdm_checkpoint.json", "te_report.json", "student_checkpoint.json")
+    copy_artifacts(recipe_dir, tmp_path, *(name for name in inputs if name != artifact))
     if source == "--set":
-        extra = ["--set", f"{key}={value}"]
+        extra = [*REDUCED, "--set", f"{key}={value}"]
     else:  # json writes float("nan") as NaN, which json.load reads back
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({key: type(config.DEFAULTS[key])(value)}))
-        extra = ["--config", str(cfg_file)]
-    assert run(stage, str(tmp_path), *extra) == 1
+        extra = ["--config", str(cfg_file)]  # REDUCED's --set pairs would override the file
+    assert cli.main([stage, "--out", str(tmp_path), *extra]) == 1
     err = capsys.readouterr().err
     assert "code=CONFIG_ERROR" in err and key in err
     assert not (tmp_path / artifact).exists()
+    assert not list(tmp_path.glob("resolved_config.*"))
+
+
+def test_a_stage_refuses_a_setting_it_does_not_read(tmp_path, capsys):
+    assert run("gen-data", str(tmp_path), "--set", "attack.steps=0") == 1
+    err = capsys.readouterr().err
+    assert "code=CONFIG_ERROR" in err and "attack.steps must be at least 1, got 0" in err
+    assert list(tmp_path.iterdir()) == []  # neither the data nor an echo
+
+
+def test_a_failed_call_keeps_the_last_good_echo(recipe_dir, tmp_path, capsys):
+    copy_artifacts(recipe_dir, tmp_path, "toy_data.csv", "cdm_checkpoint.json", "bundles.jsonl")
+    assert run("eval-features", str(tmp_path)) == 0
+    echo = tmp_path / "resolved_config.eval-features.json"
+    before = echo.read_bytes()
+    # a damaged artifact is a failure that no range check can see
+    (tmp_path / "bundles.jsonl").write_text("{not json\n")
+    assert run("eval-features", str(tmp_path), "--set", "clarid.t_r=50") == 1
+    assert "code=INVALID_INPUT" in capsys.readouterr().err
+    assert echo.read_bytes() == before
 
 
 @pytest.mark.parametrize("entry", ["abc", "nan", "inf", "2", "-0.1"])

@@ -172,8 +172,9 @@ def split_trajectory(kind, model, x, cond):
         return invert_batch(x, 700, cond, model, SPLIT_SCHED)
     if kind == "switch":
         te = Rng(12).integers(0, 701, size=len(x))
-        return decode_batch(x, 700, cond, model, SPLIT_SCHED, te_switch=te)
-    return decode_batch(x, 700, cond, model, SPLIT_SCHED, 3.0 if kind == "guided" else 1.0)
+        return decode_batch(x, 700, cond, model, SPLIT_SCHED, cfg_scale=1.0, te_switch=te)
+    return decode_batch(x, 700, cond, model, SPLIT_SCHED,
+                        cfg_scale=3.0 if kind == "guided" else 1.0)
 
 
 @pytest.mark.parametrize("kind", ["decode", "guided", "switch", "invert"])
@@ -245,10 +246,10 @@ def test_bad_label_in_a_worker_slice_raises_as_in_one_pass(monkeypatch, forks, n
     cond[-1] = model.n_classes + 5
     monkeypatch.setattr(diffusion, "_WORKERS", 1)
     with pytest.raises(Exception) as one_pass:
-        decode_batch(x, 100, cond, model, SPLIT_SCHED)
+        decode_batch(x, 100, cond, model, SPLIT_SCHED, cfg_scale=1.0)
     monkeypatch.setattr(diffusion, "_WORKERS", 2)
     with pytest.raises(Exception) as split:
-        decode_batch(x, 100, cond, model, SPLIT_SCHED)
+        decode_batch(x, 100, cond, model, SPLIT_SCHED, cfg_scale=1.0)
     assert len(forks) == 1
     assert split.type is one_pass.type and str(split.value) == str(one_pass.value)
 
@@ -267,19 +268,19 @@ def test_head_rows_error_wins_and_the_child_is_reaped(forks, no_child_left):
     cond = (np.arange(b) >= b // 2).astype(np.int64)
     start = time.monotonic()
     with pytest.raises(InvalidInputError, match="head rows"):
-        decode_batch(np.zeros((b, 2)), 100, cond, HeadFails(), SPLIT_SCHED)
+        decode_batch(np.zeros((b, 2)), 100, cond, HeadFails(), SPLIT_SCHED, cfg_scale=1.0)
     assert len(forks) == 1 and time.monotonic() - start < 30
 
 
 def test_a_process_with_other_threads_runs_all_rows_itself(forks, no_child_left):
     model = CondDenoiser(Rng(16))
     x = Rng(17).normal((2 * diffusion.PARALLEL_ROWS, 2))
-    want = decode_batch(x, 300, 1, model, SPLIT_SCHED)
+    want = decode_batch(x, 300, 1, model, SPLIT_SCHED, cfg_scale=1.0)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        got = decode_batch(x, 300, 1, model, SPLIT_SCHED)
+        got = decode_batch(x, 300, 1, model, SPLIT_SCHED, cfg_scale=1.0)
     finally:
         stop.set()
         other.join(timeout=10)
@@ -305,11 +306,11 @@ def test_a_failed_fork_runs_all_rows_here(monkeypatch, no_child_left):
 def test_forked_child_runs_a_split_trajectory(forks, no_child_left):
     model = CondDenoiser(Rng(13))
     x = Rng(14).normal((2 * diffusion.PARALLEL_ROWS, 2))
-    want = decode_batch(x, 300, 0, model, SPLIT_SCHED)
+    want = decode_batch(x, 300, 0, model, SPLIT_SCHED, cfg_scale=1.0)
     pid = os.fork()
     if pid == 0:
         try:
-            got = decode_batch(x, 300, 0, model, SPLIT_SCHED)
+            got = decode_batch(x, 300, 0, model, SPLIT_SCHED, cfg_scale=1.0)
             os._exit(0 if np.array_equal(got, want) else 1)
         finally:
             os._exit(2)
@@ -483,7 +484,7 @@ def test_grid_endpoints(schedule):
 
 def test_decode_at_t0_is_identity(trained_model, schedule):
     x = np.array([3.7, 0.05])
-    out = decode_batch(x.copy(), 0, 1, trained_model, schedule)[0]
+    out = decode_batch(x.copy(), 0, 1, trained_model, schedule, cfg_scale=1.0)[0]
     assert np.array_equal(out, x)
 
 
@@ -501,7 +502,7 @@ def test_single_step_exact_eps_recovers_x0(schedule):
     x_t = q_sample(x0[0], t, known_eps[0], schedule)[None, :]
     sched_2step = NoiseSchedule(t_max=schedule.t_max, beta=schedule.beta,
                                 alpha_bar=schedule.alpha_bar, ddim_steps=1)
-    out = decode_batch(x_t, t, np.array([1]), StubModel(), sched_2step)
+    out = decode_batch(x_t, t, np.array([1]), StubModel(), sched_2step, cfg_scale=1.0)
     assert np.allclose(out, x0, atol=1e-10)
 
 
@@ -551,21 +552,22 @@ def test_walk_evaluates_the_timestep_each_step_leaves(walk):
     else:
         uppers = ddim_grid(SPLIT_SCHED, 1000)[:0:-1]
         if walk == "decode":
-            decode_batch(x, 1000, cond, model, SPLIT_SCHED)
+            decode_batch(x, 1000, cond, model, SPLIT_SCHED, cfg_scale=1.0)
             want = [(hi, (0, 1)) for hi in uppers]
         elif walk == "decode guided":
             decode_batch(x, 1000, cond, model, SPLIT_SCHED, cfg_scale=3.0)
             want = [call for hi in uppers for call in ((hi, (2, 2)), (hi, (0, 1)))]
         else:
-            decode_batch(x, 1000, cond, model, SPLIT_SCHED, te_switch=np.array([300, 700]))
+            decode_batch(x, 1000, cond, model, SPLIT_SCHED, cfg_scale=1.0,
+                         te_switch=np.array([300, 700]))
             want = [(hi, (2 if hi > 300 else 0, 2 if hi > 700 else 1)) for hi in uppers]
     assert model.log == want
 
 
 def test_decode_deterministic_bitwise(trained_model, schedule):
     lat = np.array([[0.3, -1.2], [1.0, 0.4]])
-    a = decode_batch(lat.copy(), 900, np.array([1, 0]), trained_model, schedule)
-    b = decode_batch(lat.copy(), 900, np.array([1, 0]), trained_model, schedule)
+    a = decode_batch(lat.copy(), 900, np.array([1, 0]), trained_model, schedule, cfg_scale=1.0)
+    b = decode_batch(lat.copy(), 900, np.array([1, 0]), trained_model, schedule, cfg_scale=1.0)
     assert np.array_equal(a, b)
 
 
@@ -574,7 +576,7 @@ def test_roundtrip_error_small(trained_model, schedule, dataset):
     ys = dataset.ys[:100]
     target = int(0.8 * schedule.t_max)
     lat = invert_batch(xs, target, ys, trained_model, schedule)
-    back = decode_batch(lat, target, ys, trained_model, schedule)
+    back = decode_batch(lat, target, ys, trained_model, schedule, cfg_scale=1.0)
     rel = np.linalg.norm(back - xs, axis=1) / np.maximum(np.linalg.norm(xs, axis=1), 1e-12)
     assert float(np.median(rel)) <= 0.1
 
@@ -607,12 +609,13 @@ def test_two_stage_boundary_cases(trained_model, schedule):
     n, T = 8, schedule.t_max
     full_cond = two_stage_batch(Rng(31).normal((n, 2)), T, 1, trained_model, schedule)
     plain_cond = decode_batch(Rng(31).normal(size=(n, 2)), T,
-                              np.full(n, 1), trained_model, schedule)
+                              np.full(n, 1), trained_model, schedule, cfg_scale=1.0)
     assert np.array_equal(full_cond, plain_cond)
 
     full_null = two_stage_batch(Rng(32).normal((n, 2)), 0, 1, trained_model, schedule)
     plain_null = decode_batch(Rng(32).normal(size=(n, 2)), T,
-                              np.full(n, trained_model.null_id), trained_model, schedule)
+                              np.full(n, trained_model.null_id), trained_model, schedule,
+                              cfg_scale=1.0)
     assert np.array_equal(full_null, plain_null)
 
 

@@ -69,21 +69,31 @@ def test_every_definition_in_src_has_a_caller_in_src():
 
 
 def test_a_setting_passed_by_keyword_has_no_second_default():
-    """A keyword argument that cli.py takes from cfg[...] must meet a parameter
-    with no default, so that the config key's default is the only one."""
+    """An argument that cli.py takes from cfg[...], by keyword or by position,
+    must meet a parameter with no default, so that the config key's default is
+    the only one."""
     callees, repeated = set(), []
     for call in ast.walk(ast.parse((SRC / "cli.py").read_text())):
         if not isinstance(call, ast.Call):
             continue
-        for kw in call.keywords:
-            value = kw.value
-            if (isinstance(value, ast.Subscript) and isinstance(value.value, ast.Name)
-                    and value.value.id == "cfg"):
-                name = ast.unparse(call.func)
-                callees.add(name)
-                param = inspect.signature(
-                    functools.reduce(getattr, name.split("."), cli)).parameters[kw.arg]
-                if param.default is not inspect.Parameter.empty:
-                    repeated.append(f"{name}({kw.arg}={param.default!r})")
-    assert {"canon.find_te", "canon.canonicalize_batch"} <= callees
+        # where each cfg[...] value goes: a position, or a keyword
+        settings = [at for at, value in [*enumerate(call.args),
+                                         *((kw.arg, kw.value) for kw in call.keywords)]
+                    if isinstance(value, ast.Subscript) and isinstance(value.value, ast.Name)
+                    and value.value.id == "cfg"]
+        if not settings:
+            continue
+        name = ast.unparse(call.func)
+        try:
+            fn = functools.reduce(getattr, name.split("."), cli)
+        except AttributeError:  # a builtin, such as min
+            continue
+        callees.add(name)
+        params = inspect.signature(fn).parameters
+        for at in settings:
+            param = list(params.values())[at] if isinstance(at, int) else params[at]
+            if param.default is not inspect.Parameter.empty:
+                repeated.append(f"{name}({param.name}={param.default!r})")
+    assert {"canon.find_te", "canon.canonicalize_batch", "diffusion.decode_batch",
+            "toydata.sample_dataset", "distill.pool_rows"} <= callees
     assert repeated == []

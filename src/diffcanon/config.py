@@ -79,18 +79,29 @@ def _coerce(key: str, value: object) -> object:
     return str(value)
 
 
-# The range of each bounded setting, as (text, test of the value and schedule.t_max).
+# The range of each bounded setting, as (text, test of the value and the resolved
+# config), checked in this order.
 RANGES: dict[str, tuple] = {
-    **dict.fromkeys(("data.n", "schedule.t_max", "schedule.ddim_steps", "cdm.batch_size", "te.m",
-                     "clarid.n_samples", "student.batch_size", "attack.steps", "eval.n"),
-                    ("at least 1", lambda v, t_max: v >= 1)),
-    "te.tol": ("at least 0", lambda v, t_max: v >= 0),
+    # a zero-epoch run would write untrained weights as a trained checkpoint
+    **dict.fromkeys(("data.n", "schedule.t_max", "schedule.ddim_steps", "cdm.epochs",
+                     "cdm.batch_size", "te.m", "clarid.n_samples", "student.epochs",
+                     "student.batch_size", "attack.steps", "eval.n"),
+                    ("at least 1", lambda v, cfg: v >= 1)),
+    "schedule.beta_start": ("in (0, 1)", lambda v, cfg: 0 < v < 1),
+    "schedule.beta_end": ("in [schedule.beta_start = {cfg[schedule.beta_start]}, 1)",
+                          lambda v, cfg: cfg["schedule.beta_start"] <= v < 1),
+    **dict.fromkeys(("cdm.lr", "student.lr", "student.tau", "attack.epsilon",
+                     "attack.step_size"), ("above 0", lambda v, cfg: v > 0)),
+    **dict.fromkeys(("cdm.label_drop", "student.lambda_cf", "student.lambda_cka"),
+                    ("in [0, 1]", lambda v, cfg: 0 <= v <= 1)),
+    **dict.fromkeys(("te.tol", "student.lambda_cs", "student.lambda_dist"),
+                    ("at least 0", lambda v, cfg: v >= 0)),
     # clarid.t_e 0 reads the choice from the search report
     **dict.fromkeys(("clarid.t_e", "clarid.t_r"),
-                    ("in [0, schedule.t_max = {t_max}]", lambda v, t_max: 0 <= v <= t_max)),
-    "pool.fraction": ("in (0, 1]", lambda v, t_max: 0 < v <= 1),
-    "attack.epsilon": ("above 0", lambda v, t_max: v > 0),
-    "attack.target": ("student or vanilla", lambda v, t_max: v in ("student", "vanilla")),
+                    ("in [0, schedule.t_max = {cfg[schedule.t_max]}]",
+                     lambda v, cfg: 0 <= v <= cfg["schedule.t_max"])),
+    "pool.fraction": ("in (0, 1]", lambda v, cfg: 0 < v <= 1),
+    "attack.target": ("student or vanilla", lambda v, cfg: v in ("student", "vanilla")),
 }
 
 
@@ -110,10 +121,9 @@ def resolve(config_path: str | None = None, overrides: dict[str, object] | None 
             raise ConfigError("config file must hold a flat JSON object")
         cfg.update((key, _coerce(key, value)) for key, value in loaded.items())
     cfg.update((key, _coerce(key, value)) for key, value in (overrides or {}).items())
-    t_max = cfg["schedule.t_max"]
     for key, (text, within) in RANGES.items():
-        if not within(cfg[key], t_max):
-            raise ConfigError(f"{key} must be {text.format(t_max=t_max)}, got {cfg[key]!r}")
+        if not within(cfg[key], cfg):
+            raise ConfigError(f"{key} must be {text.format(cfg=cfg)}, got {cfg[key]!r}")
     grid_from_config(cfg)
     return cfg
 

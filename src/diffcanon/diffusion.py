@@ -17,7 +17,6 @@ import os
 import pickle
 import signal
 import threading
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -198,7 +197,6 @@ class CondDenoiser:
         self.b3 = Tensor(np.zeros(2), requires_grad=True)
         self.label_emb = Tensor(rng.normal((self.n_classes + 1, self.embed_dim)),
                                 requires_grad=True)
-        self._workspace: dict | None = None  # row count -> buffers, inside `trajectory`
 
     @property
     def null_id(self) -> int:
@@ -234,13 +232,13 @@ class CondDenoiser:
         SiLU is computed as a * sigmoid(a) with sigmoid = 1 / (1 + exp(-a)),
         in place. Without `bufs` every intermediate is kept, for the JVP and
         the backward: input rows, label ids, pre-activations a1, a2 and
-        sigmoids s1, s2. With bufs = (inp, a1, a2, s, out), row buffers of
-        the batch, the pass allocates nothing large: it fills them through
+        sigmoids s1, s2. With bufs = (inp, a1, a2, s) from `buffers`, the
+        pass allocates only its (b, 2) output: it fills the buffers through
         out= and in-place ufuncs, h1 and h2 overwrite a1 and a2, and s
         holds each layer's sigmoid in turn.
         """
         keep = bufs is None
-        inp, a1, a2, s, out = (None,) * 5 if keep else bufs
+        inp, a1, a2, s = (None,) * 4 if keep else bufs
         inp, cond = self._inputs_np(x, t, cond, inp)
         c = {"inp": inp, "cond": cond} if keep else {}
         h = inp
@@ -258,46 +256,27 @@ class CondDenoiser:
             else:
                 h = np.multiply(a, s, out=a)
             c[f"h{i}"] = h
-        out = np.matmul(h, self.W3.data, out=out)
+        out = np.matmul(h, self.W3.data)
         out += self.b3.data
         c["out"] = out
         return c
 
-    @contextmanager
-    def trajectory(self):
-        """Let _forward reuse its row buffers until the block ends: one DDIM trajectory."""
-        outer, self._workspace = self._workspace, {}
-        try:
-            yield
-        finally:
-            self._workspace = outer
+    def buffers(self, b: int) -> tuple:
+        """Row buffers (inp, a1, a2, s) for `_cache` passes over b rows."""
+        hd = self.hidden_dim
+        return (np.empty((b, 2 + 2 * self.embed_dim)), np.empty((b, hd)), np.empty((b, hd)),
+                np.empty((b, hd)))
 
-    def _forward(self, x, t, cond) -> dict:
-        """h1, h2 and the output of a batch, from one `_cache` pass into row buffers.
-
-        Inside `trajectory` the input, pre-activation and sigmoid buffers are
-        kept and reused while the row count stays the same, so a trajectory
-        allocates them once; the output buffer is fresh on every call.
-        """
+    def eps(self, x, t, cond, bufs: tuple | None = None) -> np.ndarray:
+        """Noise prediction, batched, pure numpy (no graph), computed in `bufs`
+        (from `buffers`, for x's row count) or in fresh buffers; the result is fresh."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        b, hd = x.shape[0], self.hidden_dim
-        ws = self._workspace
-        bufs = ws.get(b) if ws is not None else None
-        if bufs is None:
-            bufs = (np.empty((b, 2 + 2 * self.embed_dim)), np.empty((b, hd)), np.empty((b, hd)),
-                    np.empty((b, hd)))
-            if ws is not None:
-                self._workspace = {b: bufs}
-        return self._cache(x, t, cond, bufs + (np.empty((b, 2)),))
-
-    def eps(self, x, t, cond) -> np.ndarray:
-        """Noise prediction, batched, pure numpy (no graph)."""
-        return self._forward(x, t, cond)["out"]
+        return self._cache(x, t, cond, self.buffers(len(x)) if bufs is None else bufs)["out"]
 
     def hidden(self, x, t, cond) -> np.ndarray:
         """Post-activation features of the second hidden layer, the features every stage reads."""
-        h = self._forward(x, t, cond)["h2"]
-        return h if self._workspace is None else h.copy()
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        return self._cache(x, t, cond, self.buffers(len(x)))["h2"]
 
     def feature_jvp(self, x, t, cond, v: np.ndarray) -> np.ndarray:
         """Directional derivative of hidden along v in data space, per point of x."""
@@ -405,8 +384,8 @@ def cfg_combine(eps_null: np.ndarray, eps_cond: np.ndarray, w: float) -> np.ndar
     return (1.0 - w) * eps_null + w * eps_cond
 
 
-def guided_eps(model: CondDenoiser, x, t, cond, cfg_scale: float) -> np.ndarray:
-    """Classifier-free-guided prediction at scale w = cfg_scale.
+def guided_eps(model: CondDenoiser, x, t, cond, cfg_scale: float, bufs=None) -> np.ndarray:
+    """Classifier-free-guided prediction at scale w = cfg_scale, computed in bufs.
 
     w = 1 is the plain conditional prediction and w = 0 the plain
     unconditional one (single model evaluation each, no blending
@@ -414,11 +393,11 @@ def guided_eps(model: CondDenoiser, x, t, cond, cfg_scale: float) -> np.ndarray:
     """
     cond_arr = np.atleast_1d(np.asarray(cond, dtype=np.int64))
     if cfg_scale == 1.0 or np.all(cond_arr == model.null_id):
-        return model.eps(x, t, cond)
+        return model.eps(x, t, cond, bufs)
     if cfg_scale == 0.0:
-        return model.eps(x, t, np.full_like(cond_arr, model.null_id))
-    eps_null = model.eps(x, t, np.full_like(cond_arr, model.null_id))
-    eps_cond = model.eps(x, t, cond)
+        return model.eps(x, t, np.full_like(cond_arr, model.null_id), bufs)
+    eps_null = model.eps(x, t, np.full_like(cond_arr, model.null_id), bufs)
+    eps_cond = model.eps(x, t, cond, bufs)
     return cfg_combine(eps_null, eps_cond, cfg_scale)
 
 
@@ -440,13 +419,14 @@ def _ddim_step(x: np.ndarray, eps_hat: np.ndarray, a_from: float, a_to: float) -
 def _walk(x, ts, cond, switch, model, sched, cfg_scale) -> np.ndarray:
     """Deterministic DDIM steps from ts[0] to ts[-1]. Each predicts the noise at the
     timestep it leaves, clamped to at least 1; a row takes the null condition
-    while that timestep is above its switch (switch None: never)."""
-    with getattr(model, "trajectory", nullcontext)():
-        for t_from, t_to in zip(ts[:-1], ts[1:]):
-            t = max(t_from, 1)
-            step_cond = cond if switch is None else np.where(t > switch, model.null_id, cond)
-            eps_hat = guided_eps(model, x, t, step_cond, cfg_scale)
-            x = _ddim_step(x, eps_hat, sched.alpha_bar[t_from], sched.alpha_bar[t_to])
+    while that timestep is above its switch (switch None: never). The walk
+    allocates the model's row buffers once and every step computes in them."""
+    bufs = model.buffers(len(x))
+    for t_from, t_to in zip(ts[:-1], ts[1:]):
+        t = max(t_from, 1)
+        step_cond = cond if switch is None else np.where(t > switch, model.null_id, cond)
+        eps_hat = guided_eps(model, x, t, step_cond, cfg_scale, bufs)
+        x = _ddim_step(x, eps_hat, sched.alpha_bar[t_from], sched.alpha_bar[t_to])
     return x
 
 

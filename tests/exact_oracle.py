@@ -113,10 +113,10 @@ class ExactDenoiser:
     """The exact posterior noise prediction behind the denoiser interface.
 
     Exposes what canonicalization, inversion and decoding read from a
-    trained CondDenoiser (eps, hidden, feature_jvp, n_classes, null_id),
-    so the same pipeline runs on the Bayes-optimal denoiser. Its feature
-    map is eps itself. `alpha_bar` is the schedule's alpha_bar array,
-    indexed by timestep; t must be at least 1.
+    trained CondDenoiser (buffers, eps, hidden, feature_jvp, n_classes,
+    null_id), so the same pipeline runs on the Bayes-optimal denoiser.
+    Its feature map is eps itself. `alpha_bar` is the schedule's
+    alpha_bar array, indexed by timestep; t must be at least 1.
     """
 
     n_classes = 2
@@ -146,7 +146,11 @@ class ExactDenoiser:
                 eps[rows] = out
         return eps, jac
 
-    def eps(self, x, t, cond) -> np.ndarray:
+    def buffers(self, b: int) -> None:
+        """No row buffers: the quadrature allocates its own."""
+        return None
+
+    def eps(self, x, t, cond, bufs=None) -> np.ndarray:
         return self._run(x, t, cond, False)[0]
 
     def hidden(self, x, t, cond) -> np.ndarray:

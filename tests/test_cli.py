@@ -381,6 +381,17 @@ REFUSED_SETTINGS = [
     ("attack", "attack.epsilon", "-1", "metrics_student.json"),
     ("attack", "eval.n", "0", "metrics_student.json"),
     ("attack", "attack.target", "foo", "metrics_foo.json"),
+    ("attack", "attack.step_size", "-0.05", "metrics_student.json"),
+    ("train-cdm", "cdm.epochs", "-1", "cdm_loss.csv"),
+    ("train-cdm", "cdm.epochs", "0", "cdm_loss.csv"),
+    ("train-student", "student.epochs", "0", "student_checkpoint.json"),
+    ("train-student", "student.tau", "0", "student_checkpoint.json"),
+    ("train-cdm", "schedule.beta_end", "2", "cdm_loss.csv"),
+    ("train-cdm", "schedule.beta_start", "-1", "cdm_loss.csv"),
+    ("train-cdm", "cdm.lr", "-0.01", "cdm_loss.csv"),
+    ("train-student", "student.lr", "-1", "student_checkpoint.json"),
+    ("train-cdm", "cdm.label_drop", "5", "cdm_loss.csv"),
+    ("train-student", "student.lambda_cf", "7", "student_checkpoint.json"),
 ]
 
 
@@ -388,7 +399,8 @@ REFUSED_SETTINGS = [
 @pytest.mark.parametrize("stage,key,value,artifact", REFUSED_SETTINGS)
 def test_a_setting_out_of_range_is_refused(recipe_dir, tmp_path, capsys, source, stage, key,
                                            value, artifact):
-    inputs = ("toy_data.csv", "cdm_checkpoint.json", "te_report.json", "student_checkpoint.json")
+    inputs = ("toy_data.csv", "cdm_checkpoint.json", "te_report.json", "pool.jsonl",
+              "student_checkpoint.json")
     copy_artifacts(recipe_dir, tmp_path, *(name for name in inputs if name != artifact))
     if source == "--set":
         extra = [*REDUCED, "--set", f"{key}={value}"]

@@ -167,6 +167,14 @@ def forks(monkeypatch):
 SPLIT_SCHED = linear_schedule(ddim_steps=10)
 
 
+class StubDenoiser:
+    """What a walk reads of a denoiser besides eps(x, t, cond, bufs): no row buffers."""
+    n_classes, null_id = 2, 2
+
+    def buffers(self, b):
+        return None
+
+
 def split_trajectory(kind, model, x, cond):
     if kind == "invert":
         return invert_batch(x, 700, cond, model, SPLIT_SCHED)
@@ -255,10 +263,8 @@ def test_bad_label_in_a_worker_slice_raises_as_in_one_pass(monkeypatch, forks, n
 
 
 def test_head_rows_error_wins_and_the_child_is_reaped(forks, no_child_left):
-    class HeadFails:
-        n_classes, null_id = 2, 2
-
-        def eps(self, x, t, cond):
+    class HeadFails(StubDenoiser):
+        def eps(self, x, t, cond, bufs):
             if cond[0] == 0:
                 raise InvalidInputError("head rows")
             time.sleep(60)  # the tail rows: killed, not waited for
@@ -327,20 +333,33 @@ def test_forked_child_runs_a_split_trajectory(forks, no_child_left):
     assert len(forks) == 2  # the parent's own split and the caller's fork
 
 
-def test_workspace_lives_for_one_trajectory_and_never_aliases(trained_model):
-    model = trained_model
-    x = Rng(15).normal((300, 2))
-    assert model._workspace is None
-    with model.trajectory():
-        a = model.eps(x, 500, 1)
-        h = model.hidden(x, 500, 1)
-        bufs = model._workspace[300]
-        b = model.eps(x, 400, 1)
-        assert model._workspace[300] is bufs
-        assert not any(np.shares_memory(r, buf) for r in (a, h, b) for buf in bufs)
-        assert not np.shares_memory(a, b)
-    assert model._workspace is None
-    assert np.array_equal(a, model.eps(x, 500, 1)) and np.array_equal(h, model.hidden(x, 500, 1))
+def test_a_walk_owns_its_buffers_and_every_returned_array_is_fresh():
+    model = CondDenoiser(Rng(15))
+    buffers, eps = model.buffers, model.eps
+    asked, calls = [], []
+
+    def counted_buffers(b):
+        asked.append(buffers(b))
+        return asked[-1]
+
+    def recorded_eps(x, t, cond, bufs):
+        calls.append((bufs, eps(x, t, cond, bufs)))
+        return calls[-1][1]
+
+    model.buffers, model.eps = counted_buffers, recorded_eps
+    x = Rng(16).normal((diffusion.PARALLEL_ROWS - 1, 2))  # one process
+    decode_batch(x, 500, 1, model, SPLIT_SCHED, cfg_scale=2.0)  # two eps calls per step
+    assert len(asked) == 1
+    bufs = asked[0]
+    assert len(calls) == 2 * (len(ddim_grid(SPLIT_SCHED, 500)) - 1)
+    assert all(b is bufs for b, _ in calls)
+    outs = [out for _, out in calls]
+    h = model.hidden(x, 500, 1)
+    assert not any(np.shares_memory(r, buf) for r in (*outs, h) for buf in bufs)
+    assert not np.shares_memory(outs[0], outs[1])  # one step's null and conditional call
+    # the first step predicts at x itself, and buffers do not change the bits
+    assert np.array_equal(outs[1], eps(x, 500, 1))
+    assert np.array_equal(h, model._cache(x, 500, 1)["h2"])
 
 
 def reference_eps_graph(model, x_t, t, cond):
@@ -489,11 +508,8 @@ def test_decode_at_t0_is_identity(trained_model, schedule):
 
 
 def test_single_step_exact_eps_recovers_x0(schedule):
-    class StubModel:
-        n_classes = 2
-        null_id = 2
-
-        def eps(self, x, t, cond):
+    class StubModel(StubDenoiser):
+        def eps(self, x, t, cond, bufs):
             return known_eps
 
     known_eps = np.array([[0.4, -0.9]])
@@ -513,10 +529,8 @@ def test_invert_target_zero_identity(trained_model, schedule):
 
 
 def test_invert_zero_model_closed_form(schedule):
-    class ZeroModel:
-        n_classes = 2
-
-        def eps(self, x, t, cond):
+    class ZeroModel(StubDenoiser):
+        def eps(self, x, t, cond, bufs):
             return np.zeros_like(x)
 
     x0 = np.array([[1.5, -2.5]])
@@ -526,14 +540,13 @@ def test_invert_zero_model_closed_form(schedule):
         assert np.max(np.abs(out - expected)) <= 1e-10
 
 
-class RecordingModel:
+class RecordingModel(StubDenoiser):
     """Predicts zero noise and logs (t, cond per row) of every eps call."""
-    null_id = 2
 
     def __init__(self):
         self.log = []
 
-    def eps(self, x, t, cond):
+    def eps(self, x, t, cond, bufs):
         self.log.append((int(t), tuple(np.broadcast_to(cond, (len(x),)).tolist())))
         return np.zeros_like(x)
 

@@ -13,14 +13,22 @@ from collections import defaultdict
 from pathlib import Path
 
 import diffcanon
-from diffcanon import cli
+from diffcanon import cli, config
 
 SRC = Path(diffcanon.__file__).parent
 
 # The definitions no code in src/ refers to by name, and why each stays.
 UNREFERENCED = {
     "SgdMomentum": "perfbench hook",
-    "trajectory": "reached by getattr in _walk",
+}
+
+# The settings with no config.RANGES entry, and why each needs none.
+UNRANGED = {
+    "seed": "any integer seeds the generator",
+    "out": "any directory path",
+    "te.grid_fractions": "each entry is checked by grid_from_config",
+    "student.vanilla": "a boolean",
+    "clarid.cfg_scale": "any finite guidance weight is defined",
 }
 
 
@@ -66,6 +74,10 @@ def unreferenced_definitions() -> set[str]:
 
 def test_every_definition_in_src_has_a_caller_in_src():
     assert unreferenced_definitions() == set(UNREFERENCED)
+
+
+def test_every_setting_has_a_range_or_a_reason():
+    assert sorted(config.DEFAULTS) == sorted([*config.RANGES, *UNRANGED])
 
 
 def test_a_setting_passed_by_keyword_has_no_second_default():

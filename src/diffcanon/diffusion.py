@@ -74,11 +74,6 @@ def _time_table(dim: int) -> np.ndarray:
     return table
 
 
-def _silu_deriv(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """d/da [a * s] for s = sigmoid(a)."""
-    return s * (1.0 + a * (1.0 - s))
-
-
 # decode_batch and invert_batch run a trajectory of PARALLEL_ROWS rows or more
 # as two row halves in two processes (_in_row_halves). With one BLAS thread on
 # 2 CPUs a 100-step decode took 18 -> 20 ms at 128 rows, 29 -> 23 ms at 192,
@@ -185,10 +180,11 @@ class CondDenoiser:
 
     PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "label_emb")
     n_classes, hidden_dim, embed_dim = 2, 80, 16
+    null_id = n_classes
+    in_dim = 2 + 2 * embed_dim  # [x, time embedding, label embedding]
 
     def __init__(self, rng: Rng):
-        in_dim = 2 + 2 * self.embed_dim
-        h = self.hidden_dim
+        in_dim, h = self.in_dim, self.hidden_dim
         self.W1 = Tensor(rng.normal((in_dim, h)) * np.sqrt(2.0 / in_dim), requires_grad=True)
         self.b1 = Tensor(np.zeros(h), requires_grad=True)
         self.W2 = Tensor(rng.normal((h, h)) * np.sqrt(2.0 / h), requires_grad=True)
@@ -197,10 +193,6 @@ class CondDenoiser:
         self.b3 = Tensor(np.zeros(2), requires_grad=True)
         self.label_emb = Tensor(rng.normal((self.n_classes + 1, self.embed_dim)),
                                 requires_grad=True)
-
-    @property
-    def null_id(self) -> int:
-        return self.n_classes
 
     def parameters(self) -> list[Tensor]:
         return [getattr(self, name) for name in self.PARAM_NAMES]
@@ -217,7 +209,7 @@ class CondDenoiser:
         t = np.asarray(t)
         cond = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (b,))
         if inp is None:
-            inp = np.empty((b, 2 + 2 * e))
+            inp = np.empty((b, self.in_dim))
         inp[:, :2] = x
         if t.dtype.kind in "iu" and t.size and 0 <= t.min() and t.max() < TIME_TABLE_SIZE:
             inp[:, 2:2 + e] = _time_table(e)[t]
@@ -230,12 +222,12 @@ class CondDenoiser:
         """The forward pass: hidden features h1, h2 and the output.
 
         SiLU is computed as a * sigmoid(a) with sigmoid = 1 / (1 + exp(-a)),
-        in place. Without `bufs` every intermediate is kept, for the JVP and
-        the backward: input rows, label ids, pre-activations a1, a2 and
-        sigmoids s1, s2. With bufs = (inp, a1, a2, s) from `buffers`, the
-        pass allocates only its (b, 2) output: it fills the buffers through
-        out= and in-place ufuncs, h1 and h2 overwrite a1 and a2, and s
-        holds each layer's sigmoid in turn.
+        in place. Without `bufs` the pass also keeps what the JVP and the
+        backward read: input rows, label ids and each layer's SiLU derivative
+        d_i = s * (1 + a * (1 - s)). With bufs = (inp, a1, a2, s) from
+        `buffers`, the pass allocates only its (b, 2) output: it fills the
+        buffers through out= and in-place ufuncs, h1 and h2 overwrite a1 and
+        a2, and s holds each layer's sigmoid in turn; it keeps no derivative.
         """
         keep = bufs is None
         inp, a1, a2, s = (None,) * 4 if keep else bufs
@@ -251,8 +243,8 @@ class CondDenoiser:
             s += 1.0
             np.divide(1.0, s, out=s)
             if keep:
-                c[f"a{i}"], c[f"s{i}"] = a, s
                 h = a * s
+                c[f"d{i}"] = s * (1.0 + a * (1.0 - s))
             else:
                 h = np.multiply(a, s, out=a)
             c[f"h{i}"] = h
@@ -264,8 +256,7 @@ class CondDenoiser:
     def buffers(self, b: int) -> tuple:
         """Row buffers (inp, a1, a2, s) for `_cache` passes over b rows."""
         hd = self.hidden_dim
-        return (np.empty((b, 2 + 2 * self.embed_dim)), np.empty((b, hd)), np.empty((b, hd)),
-                np.empty((b, hd)))
+        return np.empty((b, self.in_dim)), np.empty((b, hd)), np.empty((b, hd)), np.empty((b, hd))
 
     def eps(self, x, t, cond, bufs: tuple | None = None) -> np.ndarray:
         """Noise prediction, batched, pure numpy (no graph), computed in `bufs`
@@ -281,8 +272,8 @@ class CondDenoiser:
     def feature_jvp(self, x, t, cond, v: np.ndarray) -> np.ndarray:
         """Directional derivative of hidden along v in data space, per point of x."""
         c = self._cache(x, t, cond)
-        dh = _silu_deriv(c["a1"], c["s1"]) * (np.asarray(v, dtype=np.float64) @ self.W1.data[:2])
-        return _silu_deriv(c["a2"], c["s2"]) * (dh @ self.W2.data)
+        dh = c["d1"] * (np.asarray(v, dtype=np.float64) @ self.W1.data[:2])
+        return c["d2"] * (dh @ self.W2.data)
 
     def eps_graph(self, x_t: np.ndarray, t: np.ndarray, cond: np.ndarray) -> Tensor:
         """Noise prediction as one tape node over the 7 parameters, for training.
@@ -295,8 +286,8 @@ class CondDenoiser:
         e = self.embed_dim
 
         def grads(g):
-            d2 = (g @ self.W3.data.T) * _silu_deriv(c["a2"], c["s2"])
-            d1 = (d2 @ self.W2.data.T) * _silu_deriv(c["a1"], c["s1"])
+            d2 = (g @ self.W3.data.T) * c["d2"]
+            d1 = (d2 @ self.W2.data.T) * c["d1"]
             d_label = np.zeros_like(self.label_emb.data)
             np.add.at(d_label, c["cond"], (d1 @ self.W1.data.T)[:, 2 + e:])
             return (c["inp"].T @ d1, d1.sum(axis=0), c["h1"].T @ d2, d2.sum(axis=0),
@@ -375,30 +366,15 @@ def train_cdm(data: ToyDataset, sched: NoiseSchedule, cfg: TrainConfig, rng: Rng
     return model, losses
 
 
-def cfg_combine(eps_null: np.ndarray, eps_cond: np.ndarray, w: float) -> np.ndarray:
-    """Guided prediction eps_null + w (eps_cond - eps_null).
-
-    Written as (1-w) eps_null + w eps_cond so w = 0 returns the
-    unconditional and w = 1 the conditional prediction bitwise.
-    """
-    return (1.0 - w) * eps_null + w * eps_cond
-
-
 def guided_eps(model: CondDenoiser, x, t, cond, cfg_scale: float, bufs=None) -> np.ndarray:
-    """Classifier-free-guided prediction at scale w = cfg_scale, computed in bufs.
-
-    w = 1 is the plain conditional prediction and w = 0 the plain
-    unconditional one (single model evaluation each, no blending
-    arithmetic); any other w blends the two branches.
-    """
-    cond_arr = np.atleast_1d(np.asarray(cond, dtype=np.int64))
-    if cfg_scale == 1.0 or np.all(cond_arr == model.null_id):
+    """Classifier-free-guided prediction (1 - w) eps_null + w eps_cond at w = cfg_scale,
+    computed in bufs. w = 1 is one conditional evaluation; any other w evaluates the
+    null condition first, and at w = 0 the blend equals eps_null in value."""
+    if cfg_scale == 1.0:
         return model.eps(x, t, cond, bufs)
-    if cfg_scale == 0.0:
-        return model.eps(x, t, np.full_like(cond_arr, model.null_id), bufs)
-    eps_null = model.eps(x, t, np.full_like(cond_arr, model.null_id), bufs)
-    eps_cond = model.eps(x, t, cond, bufs)
-    return cfg_combine(eps_null, eps_cond, cfg_scale)
+    null = np.full_like(np.atleast_1d(np.asarray(cond, dtype=np.int64)), model.null_id)
+    eps_null = model.eps(x, t, null, bufs)
+    return (1.0 - cfg_scale) * eps_null + cfg_scale * model.eps(x, t, cond, bufs)
 
 
 def ddim_grid(sched: NoiseSchedule, top_t: int) -> list[int]:

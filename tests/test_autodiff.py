@@ -6,24 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tape_oracle as oracle
+from brute_oracle import central_differences
 from diffcanon import autodiff as ad
 from diffcanon import diffusion, distill
 from diffcanon.errors import ContractError, InvalidInputError
 from diffcanon.rng import Rng
-
-
-def fd_grad(f, x, h=1e-6):
-    """Central finite differences of scalar f at array x."""
-    g = np.zeros_like(x, dtype=np.float64)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        i = it.multi_index
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2 * h)
-        it.iternext()
-    return g
 
 
 def rel_err(a, b):
@@ -81,7 +68,8 @@ def test_op_gradients_match_finite_differences(op, dom):
     def f(a):
         return op(ad.Tensor(a)).item()
 
-    assert rel_err(t.grad, fd_grad(f, x0)) <= 1e-4
+    fd = central_differences(f, x0, range(x0.size)).reshape(x0.shape)
+    assert rel_err(t.grad, fd) <= 1e-4
 
 
 def test_concat_gradient_splits():
@@ -129,14 +117,12 @@ def test_mlp_gradients_on_100_random_instances():
         _mlp_loss(params, x, y).backward()
         # check a few coordinates of every parameter against central differences
         for pi, v in enumerate(vals):
-            flat = v.reshape(-1)
-            for ci in rng.integers(0, flat.size, size=2):
-                def f(c):
-                    pert = [w.copy() for w in vals]
-                    pert[pi].reshape(-1)[ci] = c
-                    return _mlp_loss([ad.Tensor(w) for w in pert], x, y).item()
-                h = 1e-6
-                fd = (f(flat[ci] + h) - f(flat[ci] - h)) / (2 * h)
+            def f(w):
+                pert = vals[:pi] + [w] + vals[pi + 1:]
+                return _mlp_loss([ad.Tensor(p) for p in pert], x, y).item()
+
+            cis = rng.integers(0, v.size, size=2)
+            for ci, fd in zip(cis, central_differences(f, v, cis)):
                 got = params[pi].grad.reshape(-1)[ci]
                 denom = max(abs(fd), abs(got), 1e-8)
                 worst = max(worst, abs(fd - got) / denom)

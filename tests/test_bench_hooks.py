@@ -15,6 +15,7 @@ import pytest
 
 import diffcanon
 from diffcanon import canon, diffusion, distill
+from diffcanon.autodiff import Tensor
 from diffcanon.rng import Rng
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -72,6 +73,22 @@ def test_canonicalize_reaches_the_traced_jacobian_and_svd():
     for name in ("canon.jacobian", "diffusion.feature_jvp", "numerics.svd"):
         assert any(s[TRACING_MODULE.NAME] == name and under_top(i)
                    for i, s in enumerate(spans)), name
+
+
+def test_student_forward_rows_read_the_tensor_shape():
+    # the benchmark's distill.forward.rows reads Tensor.shape by duck typing and
+    # counts one row where it finds no shape, so without the property it would
+    # quietly read one row per call
+    tracer = TRACING_MODULE.Tracer()
+    student = distill.StudentClassifier(Rng(0))
+    tracer.install()
+    try:
+        student.forward_graph(Tensor(Rng(1).normal((5, 2))))
+    finally:
+        tracer.uninstall()
+    rows = [s[TRACING_MODULE.ATTRS]["rows"] for s in tracer.spans
+            if s[TRACING_MODULE.NAME] == "distill.forward"]
+    assert rows == [5]
 
 
 def test_split_rows_keep_the_tracer_span_stack_whole(monkeypatch):

@@ -12,11 +12,10 @@ import exact_oracle
 import tape_oracle as oracle
 from diffcanon import autodiff as ad
 from diffcanon import diffusion, toydata
-from diffcanon.diffusion import (CondDenoiser, NoiseSchedule, TrainConfig, cfg_combine,
-                                 ddim_grid, decode_batch, guided_eps, invert_batch,
-                                 linear_schedule, load_checkpoint, q_sample,
-                                 save_checkpoint, time_embedding, train_cdm,
-                                 two_stage_batch)
+from diffcanon.diffusion import (CondDenoiser, NoiseSchedule, TrainConfig, ddim_grid,
+                                 decode_batch, guided_eps, invert_batch, linear_schedule,
+                                 load_checkpoint, q_sample, save_checkpoint, time_embedding,
+                                 train_cdm, two_stage_batch)
 from diffcanon.errors import InvalidInputError
 from diffcanon.rng import Rng
 
@@ -597,10 +596,13 @@ def test_roundtrip_error_small(trained_model, schedule, dataset):
 # ---------------------------------------------------------------- guidance
 
 
-def test_cfg_combine_formula():
-    e0 = np.array([1.0, 0.0])
-    e1 = np.array([0.0, 1.0])
-    assert np.allclose(cfg_combine(e0, e1, 3.0), e0 + 3.0 * (e1 - e0))
+def test_cfg_w3_is_the_blend_of_null_and_conditional(trained_model):
+    x = np.array([[0.7, -0.3], [3.9, 0.2]])
+    cond = np.array([0, 1])
+    got = guided_eps(trained_model, x, 400, cond, 3.0)
+    null = np.full(2, trained_model.null_id)
+    want = -2.0 * trained_model.eps(x, 400, null) + 3.0 * trained_model.eps(x, 400, cond)
+    assert np.array_equal(got, want)
 
 
 def test_cfg_w1_equals_plain_conditional(trained_model):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tape_oracle as oracle
-from brute_oracle import brute_align, brute_cluster, fd_on_tensor
+from brute_oracle import brute_align, brute_cluster, central_differences, fd_on_tensor
 from diffcanon import distill, toydata
 from diffcanon.autodiff import Tensor
 from diffcanon.canon import Bundles
@@ -189,14 +189,9 @@ def test_total_loss_gradient_finite_difference(tiny_pool):
         p.grad = None
     loss.backward()
     grad = w1.grad.copy()
-    flat = w0.reshape(-1)
     worst = 0.0
-    for ci in Rng(0).integers(0, flat.size, size=6):
-        h = 1e-6
-        vp, vm = w0.copy(), w0.copy()
-        vp.reshape(-1)[ci] += h
-        vm.reshape(-1)[ci] -= h
-        fd = (f(vp) - f(vm)) / (2 * h)
+    cis = Rng(0).integers(0, w0.size, size=6)
+    for ci, fd in zip(cis, central_differences(f, w0, cis)):
         got = grad.reshape(-1)[ci]
         worst = max(worst, abs(fd - got) / max(abs(fd), abs(got), 1e-8))
     assert worst <= 1e-4
@@ -499,17 +494,12 @@ def test_pgd_input_gradient_matches_finite_difference(trained_student):
     x_t = Tensor(x0.copy(), requires_grad=True)
     _, logits = trained_student.forward_graph(x_t)
     distill.cross_entropy(logits, y).backward()
-    for ci in range(2):
-        h = 1e-6
-        xp, xm = x0.copy(), x0.copy()
-        xp[0, ci] += h
-        xm[0, ci] -= h
 
-        def f(v):
-            _, lg = trained_student.forward_graph(Tensor(v))
-            return distill.cross_entropy(lg, y).item()
+    def f(v):
+        _, lg = trained_student.forward_graph(Tensor(v))
+        return distill.cross_entropy(lg, y).item()
 
-        fd = (f(xp) - f(xm)) / (2 * h)
+    for ci, fd in enumerate(central_differences(f, x0, range(2))):
         got = x_t.grad[0, ci]
         assert abs(fd - got) / max(abs(fd), abs(got), 1e-8) <= 1e-4
 

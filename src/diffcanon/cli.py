@@ -45,8 +45,30 @@ def _require(path: str, hint: str) -> str:
 def _chosen_te(cfg: dict, out: str) -> int:
     if cfg["clarid.t_e"] > 0:
         return cfg["clarid.t_e"]
-    with open(_require(os.path.join(out, TE_REPORT), "saturation report")) as f:
-        return int(json.load(f)["chosen"])
+    path = _require(os.path.join(out, TE_REPORT), "saturation report")
+    try:
+        with open(path) as f:
+            chosen = json.load(f)["chosen"]
+        if type(chosen) is not int:
+            raise TypeError(f"chosen is {chosen!r}, not an integer")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(
+            f"{path} is not a saturation report ({type(exc).__name__}: {exc})") from exc
+    return chosen
+
+
+def _load_rows(path: str, dataset: toydata.ToyDataset) -> canon.Bundles:
+    """The bundles at path, refused unless each seed_sample_id is a dataset row and each
+    cond that row's label: bundles made from another dataset are not consumed."""
+    bundles = canon.load_bundles(path)
+    ids, n = bundles.seed_sample_id, len(dataset)
+    bad = (ids < 0) | (ids >= n)
+    bad[~bad] = bundles.cond[~bad] != dataset.ys[ids[~bad]]
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise InvalidInputError(f"{path} line {i + 1}: no row {ids[i]} with label "
+                                f"{bundles.cond[i]} among the {n} dataset rows")
+    return bundles
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -131,12 +153,10 @@ def cmd_eval_features(cfg: dict, out: str) -> None:
     model = diffusion.load_checkpoint(_require(os.path.join(out, CDM_CKPT), "denoiser checkpoint"))
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
     path = _require(os.path.join(out, BUNDLES), "bundle file")
-    bundles = canon.load_bundles(path)
+    bundles = _load_rows(path, dataset)
     if not len(bundles):
         raise InvalidInputError(f"{path} holds no bundles")
     ids, labels = bundles.seed_sample_id, bundles.cond
-    if np.any((ids < 0) | (ids >= len(dataset))):
-        raise InvalidInputError(f"{path} names samples outside the {len(dataset)} dataset rows")
     sched = config.build(cfg, "schedule", diffusion.linear_schedule)
     orig_feats = canon.read_features(dataset.xs[ids], labels, model, sched, cfg["clarid.t_r"])
     k = len(np.unique(labels))
@@ -166,7 +186,7 @@ def cmd_train_student(cfg: dict, out: str) -> None:
     vanilla = cfg["student.vanilla"]
     pool = None
     if not vanilla:
-        pool = canon.load_bundles(_require(os.path.join(out, POOL_FILE), "pool file"))
+        pool = _load_rows(_require(os.path.join(out, POOL_FILE), "pool file"), dataset)
     dc = config.build(cfg, "student", distill.DistillConfig)
     student, log = distill.train_student(dataset, pool, dc, Rng(cfg["seed"]).split("student"))
     prefix = "vanilla" if vanilla else "student"

@@ -197,57 +197,39 @@ class CondDenoiser:
     def parameters(self) -> list[Tensor]:
         return [getattr(self, name) for name in self.PARAM_NAMES]
 
-    def _inputs_np(self, x: np.ndarray, t, cond,
-                   inp: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Network input rows [x, time embedding, label embedding] and the label ids.
+    def _cache(self, x, t, cond, bufs: tuple | None = None, keep: bool = False) -> dict:
+        """The forward pass: hidden features h1, h2 and the output.
 
-        A scalar t is embedded once and broadcast into every row; t of shape
-        (b,) embeds one timestep per row. The rows go into `inp` if given.
+        Input rows [x, time embedding, label embedding] fill the row buffers
+        bufs = (inp, a1, a2, s) from `buffers`, or fresh ones; a scalar t or
+        cond is embedded once and broadcast into every row. SiLU is a * sigmoid(a)
+        with sigmoid = 1 / (1 + exp(-a)), computed through out= and in-place
+        ufuncs: h1 and h2 overwrite a1 and a2 and s holds each layer's sigmoid
+        in turn. keep adds what the JVP and the backward read: the input rows
+        and each layer's SiLU derivative d_i = s * (1 + a * (1 - s)).
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        b, e = x.shape[0], self.embed_dim
-        t = np.asarray(t)
-        cond = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=np.int64)), (b,))
-        if inp is None:
-            inp = np.empty((b, self.in_dim))
+        x = np.atleast_2d(x)
+        inp, a1, a2, s = self.buffers(len(x)) if bufs is None else bufs
+        e, t = self.embed_dim, np.asarray(t)
         inp[:, :2] = x
         if t.dtype.kind in "iu" and t.size and 0 <= t.min() and t.max() < TIME_TABLE_SIZE:
             inp[:, 2:2 + e] = _time_table(e)[t]
         else:
             inp[:, 2:2 + e] = time_embedding(t, e)
         inp[:, 2 + e:] = self.label_emb.data[cond]
-        return inp, cond
-
-    def _cache(self, x, t, cond, bufs: tuple | None = None) -> dict:
-        """The forward pass: hidden features h1, h2 and the output.
-
-        SiLU is computed as a * sigmoid(a) with sigmoid = 1 / (1 + exp(-a)),
-        in place. Without `bufs` the pass also keeps what the JVP and the
-        backward read: input rows, label ids and each layer's SiLU derivative
-        d_i = s * (1 + a * (1 - s)). With bufs = (inp, a1, a2, s) from
-        `buffers`, the pass allocates only its (b, 2) output: it fills the
-        buffers through out= and in-place ufuncs, h1 and h2 overwrite a1 and
-        a2, and s holds each layer's sigmoid in turn; it keeps no derivative.
-        """
-        keep = bufs is None
-        inp, a1, a2, s = (None,) * 4 if keep else bufs
-        inp, cond = self._inputs_np(x, t, cond, inp)
-        c = {"inp": inp, "cond": cond} if keep else {}
+        c = {"inp": inp} if keep else {}
         h = inp
         layers = ((self.W1, self.b1, a1), (self.W2, self.b2, a2))
         for i, (w, bias, a) in enumerate(layers, start=1):
-            a = np.matmul(h, w.data, out=a)
+            np.matmul(h, w.data, out=a)
             a += bias.data
-            s = np.negative(a, out=None if keep else s)
+            np.negative(a, out=s)
             np.exp(s, out=s)
             s += 1.0
             np.divide(1.0, s, out=s)
             if keep:
-                h = a * s
                 c[f"d{i}"] = s * (1.0 + a * (1.0 - s))
-            else:
-                h = np.multiply(a, s, out=a)
-            c[f"h{i}"] = h
+            h = c[f"h{i}"] = np.multiply(a, s, out=a)
         out = np.matmul(h, self.W3.data)
         out += self.b3.data
         c["out"] = out
@@ -261,17 +243,15 @@ class CondDenoiser:
     def eps(self, x, t, cond, bufs: tuple | None = None) -> np.ndarray:
         """Noise prediction, batched, pure numpy (no graph), computed in `bufs`
         (from `buffers`, for x's row count) or in fresh buffers; the result is fresh."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self._cache(x, t, cond, self.buffers(len(x)) if bufs is None else bufs)["out"]
+        return self._cache(x, t, cond, bufs)["out"]
 
     def hidden(self, x, t, cond) -> np.ndarray:
         """Post-activation features of the second hidden layer, the features every stage reads."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self._cache(x, t, cond, self.buffers(len(x)))["h2"]
+        return self._cache(x, t, cond)["h2"]
 
     def feature_jvp(self, x, t, cond, v: np.ndarray) -> np.ndarray:
         """Directional derivative of hidden along v in data space, per point of x."""
-        c = self._cache(x, t, cond)
+        c = self._cache(x, t, cond, keep=True)
         dh = c["d1"] * (np.asarray(v, dtype=np.float64) @ self.W1.data[:2])
         return c["d2"] * (dh @ self.W2.data)
 
@@ -282,14 +262,14 @@ class CondDenoiser:
         same arithmetic the per-op graph (concat, embedding, SiLU, affine
         maps) would replay, so gradients match it bitwise.
         """
-        c = self._cache(x_t, t, cond)
+        c = self._cache(x_t, t, cond, keep=True)
         e = self.embed_dim
 
         def grads(g):
             d2 = (g @ self.W3.data.T) * c["d2"]
             d1 = (d2 @ self.W2.data.T) * c["d1"]
             d_label = np.zeros_like(self.label_emb.data)
-            np.add.at(d_label, c["cond"], (d1 @ self.W1.data.T)[:, 2 + e:])
+            np.add.at(d_label, np.broadcast_to(cond, len(g)), (d1 @ self.W1.data.T)[:, 2 + e:])
             return (c["inp"].T @ d1, d1.sum(axis=0), c["h1"].T @ d2, d2.sum(axis=0),
                     c["h2"].T @ g, g.sum(axis=0), d_label)
 
@@ -372,8 +352,7 @@ def guided_eps(model: CondDenoiser, x, t, cond, cfg_scale: float, bufs=None) -> 
     null condition first, and at w = 0 the blend equals eps_null in value."""
     if cfg_scale == 1.0:
         return model.eps(x, t, cond, bufs)
-    null = np.full_like(np.atleast_1d(np.asarray(cond, dtype=np.int64)), model.null_id)
-    eps_null = model.eps(x, t, null, bufs)
+    eps_null = model.eps(x, t, model.null_id, bufs)
     return (1.0 - cfg_scale) * eps_null + cfg_scale * model.eps(x, t, cond, bufs)
 
 

@@ -68,14 +68,9 @@ class StudentClassifier:
         feats = ad.fused(h2, (x, self.W1, self.b1, self.W2, self.b2), grads)
         return feats, feats @ self.W3 + self.b3
 
-    def features(self, x) -> np.ndarray:
-        return self._hidden(np.atleast_2d(np.asarray(x, dtype=np.float64)))[1]
-
-    def logits(self, x) -> np.ndarray:
-        return self.features(x) @ self.W3.data + self.b3.data
-
     def predict(self, x) -> np.ndarray:
-        return np.argmax(self.logits(x), axis=1)
+        feats = self._hidden(np.atleast_2d(np.asarray(x, dtype=np.float64)))[1]
+        return np.argmax(feats @ self.W3.data + self.b3.data, axis=1)
 
 
 @dataclass

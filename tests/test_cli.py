@@ -503,14 +503,43 @@ def test_find_te_refuses_a_checkpoint_with_a_nan_parameter(recipe_dir, tmp_path,
 def test_train_student_folds_a_trailing_one_row_batch(recipe_dir, tmp_path, capsys):
     # 129 rows at batch size 128 would leave a last batch of one row, which
     # has no cluster peer and no CKA; that row joins the batch before it
-    copy_artifacts(recipe_dir, tmp_path, "pool.jsonl")
+    copy_artifacts(recipe_dir, tmp_path, "cdm_checkpoint.json", "te_report.json")
     n129 = ("--set", "data.n=129", "--set", "student.epochs=2")
     assert run("gen-data", str(tmp_path), *n129) == 0
+    assert run("build-pool", str(tmp_path), *n129) == 0
     assert run("train-student", str(tmp_path), *n129) == 0, capsys.readouterr().err
     with open(tmp_path / "student_loss.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 2
     assert all(np.isfinite(float(r[k])) for r in rows for k in ("cluster", "cka"))
+
+
+@pytest.mark.parametrize("n", ["400", "50"], ids=["labels-differ", "rows-missing"])
+@pytest.mark.parametrize("stage,artifact", [("eval-features", "bundles.jsonl"),
+                                            ("train-student", "pool.jsonl")])
+def test_bundles_made_from_another_dataset_are_refused(recipe_dir, tmp_path, capsys, stage,
+                                                       artifact, n):
+    # the seed-0 recipe's bundles or pool, then the data of seed 1: as many rows,
+    # with other labels, or fewer rows than the bundles name
+    copy_artifacts(recipe_dir, tmp_path, "cdm_checkpoint.json", artifact)
+    assert run("gen-data", str(tmp_path), "--set", f"data.n={n}", seed=1) == 0
+    assert run(stage, str(tmp_path), "--set", f"data.n={n}", seed=1) == 1
+    err = capsys.readouterr().err
+    assert "code=INVALID_INPUT" in err and f"{artifact} line " in err
+    assert not {"features_report.json", "student_checkpoint.json"} & set(os.listdir(tmp_path))
+
+
+@pytest.mark.parametrize("report", ["{not json", "[500]", "{}", '{"chosen": "500"}',
+                                    '{"chosen": 500.0}'],
+                         ids=["not-json", "not-an-object", "no-chosen", "chosen-a-string",
+                              "chosen-a-float"])
+def test_clarid_refuses_a_damaged_te_report(recipe_dir, tmp_path, capsys, report):
+    copy_artifacts(recipe_dir, tmp_path, "toy_data.csv", "cdm_checkpoint.json")
+    (tmp_path / "te_report.json").write_text(report)
+    assert run("clarid", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "code=INVALID_INPUT" in err and "te_report.json" in err
+    assert not (tmp_path / "bundles.jsonl").exists()
 
 
 @pytest.mark.parametrize("key,value", [("schedule.ddim_eta", 0.0), ("attack.norm", "linf"),

@@ -106,34 +106,39 @@ def test_time_table_rows_equal_time_embedding(schedule):
     model = CondDenoiser(Rng(0))
     x = np.array([[0.3, -0.2]])
     big = diffusion.TIME_TABLE_SIZE + 5
-    assert np.array_equal(model._inputs_np(x, big, 1)[0][0, 2:18], time_embedding(big)[0])
-    assert np.array_equal(model._inputs_np(x, 2.5, 1)[0][0, 2:18], time_embedding(2.5)[0])
+    assert np.array_equal(model._cache(x, big, 1, keep=True)["inp"][0, 2:18],
+                          time_embedding(big)[0])
+    assert np.array_equal(model._cache(x, 2.5, 1, keep=True)["inp"][0, 2:18],
+                          time_embedding(2.5)[0])
 
 
+@pytest.mark.parametrize("label", ["rows", 0, 1, CondDenoiser.null_id],
+                         ids=["cond-per-row", "cond-0", "cond-1", "cond-null"])
 @pytest.mark.parametrize("t", [500, diffusion.TIME_TABLE_SIZE + 5, 2.5],
                          ids=["table", "past-table", "non-integer"])
 @pytest.mark.parametrize("b", [1, 5, 503])
-def test_scalar_timestep_equals_one_timestep_per_row(t, b):
-    # a scalar t is embedded once and broadcast; it must give what t repeated
-    # for every row gives, bit for bit
+def test_scalar_timestep_equals_one_timestep_per_row(t, b, label):
+    # a scalar t or label is embedded once and broadcast; it must give what t
+    # and the label repeated for every row give, bit for bit, gradients included
     model = CondDenoiser(Rng(3))
     x = Rng(4).normal((b, 2))
-    cond = np.arange(b) % (model.n_classes + 1)
-    rows = np.full(b, t)
+    cond = np.arange(b) % (model.n_classes + 1) if label == "rows" else label
+    rows, cond_rows = np.full(b, t), np.broadcast_to(cond, b).copy()
     v = np.array([0.6, -0.8])
-    assert np.array_equal(model.eps(x, t, cond), model.eps(x, rows, cond))
-    assert np.array_equal(model.hidden(x, t, cond), model.hidden(x, rows, cond))
-    assert np.array_equal(model.feature_jvp(x, t, cond, v), model.feature_jvp(x, rows, cond, v))
+    assert np.array_equal(model.eps(x, t, cond), model.eps(x, rows, cond_rows))
+    assert np.array_equal(model.hidden(x, t, cond), model.hidden(x, rows, cond_rows))
+    assert np.array_equal(model.feature_jvp(x, t, cond, v),
+                          model.feature_jvp(x, rows, cond_rows, v))
     w = Rng(5).normal((b, 2))
 
-    def graph(tt):
+    def graph(tt, cc):
         for p in model.parameters():
             p.grad = None
-        out = model.eps_graph(x, tt, cond)
+        out = model.eps_graph(x, tt, cc)
         oracle.sum_(out * ad.Tensor(w)).backward()
         return [out.data] + [p.grad for p in model.parameters()]
 
-    for a, c in zip(graph(t), graph(rows)):
+    for a, c in zip(graph(t, cond), graph(rows, cond_rows), strict=True):
         assert np.array_equal(a, c)
 
 

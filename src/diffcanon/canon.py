@@ -72,10 +72,11 @@ def evr_sequence(sigma: np.ndarray) -> np.ndarray:
     return np.cumsum(s2, axis=-1) / total
 
 
-def select_k(s):
-    """Directions to remove: elbow of each EVR sequence plus one; 1 for n <= 2."""
-    if np.shape(s)[-1] < 2:
-        return np.ones(np.shape(s)[:-1], dtype=np.int64)
+def select_k(s: np.ndarray) -> np.ndarray:
+    """Directions to remove: elbow of each EVR sequence plus one, so 1 for n = 2.
+
+    The sequences need n >= 2 values, as elbow_index does.
+    """
     return elbow_index(s) + 1
 
 
@@ -114,8 +115,6 @@ def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
     Every step is batched; Jacobian, SVD, k and projection run in blocks of
     _BLOCK_ROWS rows. cfg_scale = 1 decodes without guidance.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    ys = np.atleast_1d(np.asarray(ys, dtype=np.int64))
     x_te = invert_batch(xs, t_e, ys, model, sched)
     latents = np.empty_like(x_te)
     ks = np.empty(len(xs), dtype=np.int64)
@@ -170,7 +169,7 @@ def find_te(model: CondDenoiser, sched: NoiseSchedule, classifier_rule: Callable
         t_es, cs = np.repeat(np.asarray(grid)[group[:, 0]], m), np.repeat(group[:, 1], m)
         xs = two_stage_batch(np.concatenate(x_T[lo:lo + per_decode]), t_es, cs, model, sched)
         np.add.at(correct, group[:, 0],
-                  (np.asarray(classifier_rule(xs)) == cs).reshape(-1, m).sum(axis=1))
+                  (classifier_rule(xs) == cs).reshape(-1, m).sum(axis=1))
     accuracies = (correct / (m * model.n_classes)).tolist()
     chosen = saturation_choice(grid, accuracies, tol)
     return TeSearchReport(grid=list(grid), accuracies=accuracies, chosen=chosen, tol=tol)
@@ -222,22 +221,15 @@ def load_bundles(path: str) -> Bundles:
     return Bundles(**columns)
 
 
-def feature_quality(features: np.ndarray, labels, k_clusters: int, rng: Rng) -> float:
-    """Normalized mutual information of the features' k-means clusters with the labels."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    if k_clusters != len(classes):
-        raise InvalidInputError(
-            f"k_clusters must equal the number of distinct labels ({len(classes)})")
-    assignments, _ = kmeans(features, k_clusters, rng)
+def feature_quality(features: np.ndarray, labels: np.ndarray, rng: Rng) -> float:
+    """Normalized mutual information with the labels of the features' k-means
+    clusters, one cluster per distinct label."""
+    assignments, _ = kmeans(features, len(np.unique(labels)), rng)
     return nmi(assignments, labels)
 
 
-def within_class_var(features: np.ndarray, labels) -> dict[int, float]:
+def within_class_var(features: np.ndarray, labels: np.ndarray) -> dict[int, float]:
     """Per class, the mean squared distance of its features to the class centroid."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
     within = {}
     for c in np.unique(labels):
         rows = features[labels == c]

@@ -42,18 +42,31 @@ def _require(path: str, hint: str) -> str:
     return path
 
 
+def _parse(path: str, parse):
+    """parse(f) over the open artifact at path. The KeyError, TypeError or ValueError
+    of a damaged JSON or CSV file exits INVALID_INPUT naming the file."""
+    try:
+        with open(path, newline="") as f:
+            return parse(f)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path} is damaged ({type(exc).__name__}: {exc})") from exc
+
+
+def _typed(value, kind: type):
+    """value, refused unless it is a JSON value of this kind; a float may be an int."""
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise TypeError(f"{value!r} is not a {kind.__name__}")
+    return value
+
+
 def _chosen_te(cfg: dict, out: str) -> int:
     if cfg["clarid.t_e"] > 0:
         return cfg["clarid.t_e"]
     path = _require(os.path.join(out, TE_REPORT), "saturation report")
-    try:
-        with open(path) as f:
-            chosen = json.load(f)["chosen"]
-        if type(chosen) is not int:
-            raise TypeError(f"chosen is {chosen!r}, not an integer")
-    except (KeyError, TypeError, ValueError) as exc:
+    chosen = _parse(path, lambda f: _typed(_typed(json.load(f), dict)["chosen"], int))
+    if not 1 <= chosen <= cfg["schedule.t_max"]:
         raise InvalidInputError(
-            f"{path} is not a saturation report ({type(exc).__name__}: {exc})") from exc
+            f"{path}: chosen = {chosen} is outside [1, schedule.t_max = {cfg['schedule.t_max']}]")
     return chosen
 
 
@@ -159,15 +172,14 @@ def cmd_eval_features(cfg: dict, out: str) -> None:
     ids, labels = bundles.seed_sample_id, bundles.cond
     sched = config.build(cfg, "schedule", diffusion.linear_schedule)
     orig_feats = canon.read_features(dataset.xs[ids], labels, model, sched, cfg["clarid.t_r"])
-    k = len(np.unique(labels))
     rng = Rng(cfg["seed"])
     payload = {}
     for kind, feats, stream in (("canonical", bundles.canonical_feature, "fq-canon"),
                                 ("original", orig_feats, "fq-orig")):
         payload[f"within_class_var_{kind}"] = {
             str(c): v for c, v in canon.within_class_var(feats, labels).items()}
-        if k >= 2:  # single-class bundles have nothing to cluster
-            payload[f"nmi_{kind}"] = canon.feature_quality(feats, labels, k, rng.split(stream))
+        if len(np.unique(labels)) >= 2:  # single-class bundles have nothing to cluster
+            payload[f"nmi_{kind}"] = canon.feature_quality(feats, labels, rng.split(stream))
     _write_json(payload, os.path.join(out, FEATURES_REPORT))
 
 
@@ -186,7 +198,11 @@ def cmd_train_student(cfg: dict, out: str) -> None:
     vanilla = cfg["student.vanilla"]
     pool = None
     if not vanilla:
-        pool = _load_rows(_require(os.path.join(out, POOL_FILE), "pool file"), dataset)
+        path = _require(os.path.join(out, POOL_FILE), "pool file")
+        pool = _load_rows(path, dataset)
+        missing = np.setdiff1d(dataset.ys, pool.cond)
+        if len(missing):
+            raise InvalidInputError(f"{path} has no entries for class {missing[0]}")
     dc = config.build(cfg, "student", distill.DistillConfig)
     student, log = distill.train_student(dataset, pool, dc, Rng(cfg["seed"]).split("student"))
     prefix = "vanilla" if vanilla else "student"
@@ -213,36 +229,43 @@ def cmd_report(cfg: dict, out: str) -> None:
     def add(name: str, value) -> None:
         rows.append((name, f"{value:.6f}" if isinstance(value, float) else str(value)))
 
-    te_path = os.path.join(out, TE_REPORT)
-    if os.path.exists(te_path):
-        with open(te_path) as f:
-            te = json.load(f)
-        add("te_chosen", te["chosen"])
-        add("te_max_accuracy", float(max(te["accuracies"])))
-    feat_path = os.path.join(out, FEATURES_REPORT)
-    if os.path.exists(feat_path):
-        with open(feat_path) as f:
-            feat = json.load(f)
+    def number(value) -> float:
+        return float(_typed(value, float))
+
+    def te(f) -> None:
+        report = _typed(json.load(f), dict)
+        add("te_chosen", _typed(report["chosen"], int))
+        add("te_max_accuracy", max(map(number, _typed(report["accuracies"], list))))
+
+    def features(f) -> None:
+        feat = _typed(json.load(f), dict)
         for key in ("nmi_canonical", "nmi_original"):
             if key in feat:
-                add(key, float(feat[key]))
+                add(key, number(feat[key]))
         for kind in ("canonical", "original"):
-            for c, v in sorted(feat.get(f"within_class_var_{kind}", {}).items()):
-                add(f"var_{kind}_class{c}", float(v))
-    for target in ("student", "vanilla"):
-        m_path = os.path.join(out, f"metrics_{target}.json")
-        if os.path.exists(m_path):
-            with open(m_path) as f:
-                m = json.load(f)
-            add(f"{target}_clean_accuracy", float(m["clean_accuracy"]))
-            add(f"{target}_robust_accuracy", float(m["robust_accuracy"]))
-    ba_path = os.path.join(out, BEFORE_AFTER)
-    if os.path.exists(ba_path):
-        with open(ba_path, newline="") as f:
-            r = list(csv.DictReader(f))
+            for c, v in sorted(_typed(feat.get(f"within_class_var_{kind}", {}), dict).items()):
+                add(f"var_{kind}_class{c}", number(v))
+
+    def metrics(target: str):
+        def parse(f) -> None:
+            m = _typed(json.load(f), dict)
+            for key in ("clean_accuracy", "robust_accuracy"):
+                add(f"{target}_{key}", number(m[key]))
+        return parse
+
+    def before_after(f) -> None:
+        r = list(csv.DictReader(f))
         if r:
             add("median_dist_canonical", float(np.median([float(x["dist_canon"]) for x in r])))
             add("median_dist_baseline", float(np.median([float(x["dist_base"]) for x in r])))
+
+    for name, parse in ((TE_REPORT, te), (FEATURES_REPORT, features),
+                        ("metrics_student.json", metrics("student")),
+                        ("metrics_vanilla.json", metrics("vanilla")),
+                        (BEFORE_AFTER, before_after)):
+        path = os.path.join(out, name)
+        if os.path.exists(path):
+            _parse(path, parse)
     if not rows:
         raise FileNotFoundError("no stage artifacts found to summarize; run earlier stages first")
     _write_csv(os.path.join(out, SUMMARY), ["metric", "value"], rows)

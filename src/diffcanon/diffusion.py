@@ -284,16 +284,12 @@ class TrainConfig:
     label_drop: float = 0.1
 
 
-def q_sample(x0, t: int, eps, sched: NoiseSchedule):
-    """Closed-form forward noising: sqrt(a_t) x0 + sqrt(1 - a_t) eps."""
-    t_arr = np.atleast_1d(np.asarray(t))
-    if np.any(t_arr < 1) or np.any(t_arr > sched.t_max):
+def q_sample(x0: np.ndarray, t: np.ndarray, eps: np.ndarray, sched: NoiseSchedule):
+    """Closed-form forward noising of each row: sqrt(a_t) x0 + sqrt(1 - a_t) eps."""
+    if np.any(t < 1) or np.any(t > sched.t_max):
         raise InvalidInputError(f"timestep out of range [1, {sched.t_max}]")
-    a = sched.alpha_bar[t_arr]
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
-    out = np.sqrt(a)[:, None] * x0 + np.sqrt(1.0 - a)[:, None] * eps
-    return out[0] if out.shape[0] == 1 and np.isscalar(t) else out
+    a = sched.alpha_bar[t]
+    return np.sqrt(a)[:, None] * x0 + np.sqrt(1.0 - a)[:, None] * eps
 
 
 def train_cdm(data: ToyDataset, sched: NoiseSchedule, cfg: TrainConfig, rng: Rng):

@@ -68,8 +68,8 @@ class StudentClassifier:
         feats = ad.fused(h2, (x, self.W1, self.b1, self.W2, self.b2), grads)
         return feats, feats @ self.W3 + self.b3
 
-    def predict(self, x) -> np.ndarray:
-        feats = self._hidden(np.atleast_2d(np.asarray(x, dtype=np.float64)))[1]
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        feats = self._hidden(x)[1]
         return np.argmax(feats @ self.W3.data + self.b3.data, axis=1)
 
 
@@ -120,7 +120,6 @@ def l2_normalize(z: Tensor) -> Tensor:
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy, one tape node with backward (softmax - onehot) / b."""
-    labels = np.asarray(labels, dtype=np.int64)
     rows = np.arange(len(labels))
     p, log_denom = _softmax_rows(logits.data)
 
@@ -147,13 +146,12 @@ def _contrastive(sim: np.ndarray, denom: np.ndarray, pos: np.ndarray, tau: float
     return value, lambda g: (p - w) * (g / (b * tau))
 
 
-def align_loss(z: Tensor, z_canon: Tensor, labels, tau: float) -> Tensor:
+def align_loss(z: Tensor, z_canon: Tensor, labels: np.ndarray, tau: float) -> Tensor:
     """Pull each feature toward every same-class canonical feature.
 
     Softmax over similarities to the whole canonical batch (self
     included); rows are assumed unit-norm. One tape node.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     if len(labels) == 0:
         raise InvalidInputError("empty batch")
     sim = (z.data @ z_canon.data.T) * (1.0 / tau)
@@ -166,14 +164,13 @@ def align_loss(z: Tensor, z_canon: Tensor, labels, tau: float) -> Tensor:
     return ad.fused(value, (z, z_canon), grads)
 
 
-def cluster_loss(z_canon: Tensor, labels, tau: float) -> Tensor:
+def cluster_loss(z_canon: Tensor, labels: np.ndarray, tau: float) -> Tensor:
     """Encourage same-class canonical features to cluster.
 
     Anchor i is scored against its same-class peers with a denominator
     over everything except itself; an anchor with no same-class peer
     falls back to just penalizing its denominator. One tape node.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     if len(labels) < 2:
         raise InvalidInputError("cluster_loss needs a batch of at least 2")
     c = z_canon.data
@@ -228,8 +225,7 @@ def cka_distill_loss(z: Tensor, z_canon: Tensor, teacher_feats: np.ndarray,
     the raw canonical features; CKA is clamped at 1 - 1e-7 so perfect
     alignment stays finite. One tape node over both feature tensors.
     """
-    yc = np.asarray(teacher_feats, dtype=np.float64)
-    yc = yc - yc.mean(axis=0, keepdims=True)
+    yc = teacher_feats - teacher_feats.mean(axis=0, keepdims=True)
     yn = float(np.linalg.norm(yc.T @ yc))
     term_z, d_z = _cka_log_term(z.data, yc, yn)
     term_c, d_c = _cka_log_term(z_canon.data, yc, yn)
@@ -256,7 +252,7 @@ def pool_rows(ys: np.ndarray, fraction: float, rng: Rng) -> list[int]:
     return sorted(picked)
 
 
-def sample_bundles(pool: Bundles, labels, rng: Rng) -> list[int]:
+def sample_bundles(pool: Bundles, labels: np.ndarray, rng: Rng) -> list[int]:
     """Uniformly pick one same-class pool row per batch element; return the row indices.
 
     All picks come from one bounded-integer draw whose per-element upper
@@ -265,7 +261,6 @@ def sample_bundles(pool: Bundles, labels, rng: Rng) -> list[int]:
     from per-class lists: a row drawn twice is one object, so counting
     distinct objects counts rows, which an array's scalars would not.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     classes, which = np.unique(labels, return_inverse=True)
     members = []
     for y in classes.tolist():
@@ -289,8 +284,7 @@ def total_loss(x: np.ndarray, labels: np.ndarray, canon_x: np.ndarray | None,
     """
     if len(x) == 0:
         raise InvalidInputError("empty batch")
-    x_t = Tensor(np.atleast_2d(x))
-    feats, logits = student.forward_graph(x_t)
+    feats, logits = student.forward_graph(Tensor(x))
     cls = cross_entropy(logits, labels)
     if canon_x is None:
         return cls, {"cls": cls.item(), "align": 0.0, "cluster": 0.0, "cka": 0.0}
@@ -313,10 +307,6 @@ def train_student(data: ToyDataset, pool: Bundles | None, cfg: DistillConfig,
 
     Returns (student, per-epoch component log).
     """
-    if pool is not None:
-        missing = np.setdiff1d(data.ys, pool.cond)
-        if len(missing):
-            raise ConfigError(f"pool has no entries for class {missing[0]}")
     student = StudentClassifier(rng.split("init"))
     opt = ad.Adam(student.parameters(), lr=cfg.lr)
     train_rng = rng.split("train")
@@ -355,8 +345,6 @@ def pgd_attack(student: StudentClassifier, x: np.ndarray, y: np.ndarray,
     """L-infinity PGD: random start, signed-gradient steps, per-step projection."""
     if atk.epsilon <= 0 or atk.steps < 1:
         raise InvalidInputError("attack needs epsilon > 0 and steps >= 1")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     x_adv = x + rng.uniform(-atk.epsilon, atk.epsilon, size=x.shape)
     for _ in range(atk.steps):
         x_t = Tensor(x_adv, requires_grad=True)

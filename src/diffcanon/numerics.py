@@ -29,7 +29,6 @@ def svd(a: np.ndarray) -> SvdResult:
     LAPACK via numpy gives descending non-negative sigma and orthonormal
     u, v; the wrapper checks only that the input is finite.
     """
-    a = np.asarray(a, dtype=np.float64)
     if a.ndim < 2 or min(a.shape[-2:]) < 1:
         raise InvalidInputError("svd expects matrices with at least one row and column")
     if not np.all(np.isfinite(a)):
@@ -47,7 +46,6 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100):
     Returns (assignments, inertia). Deterministic given the rng seed;
     an emptied cluster keeps its previous centroid.
     """
-    points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if k < 1 or k > n:
         raise InvalidInputError(f"kmeans needs 1 <= k <= n, got k={k}, n={n}")
@@ -86,14 +84,12 @@ def kmeans(points: np.ndarray, k: int, rng: Rng, max_iter: int = 100):
     return assignments, inertia
 
 
-def nmi(assignments, labels) -> float:
-    """Normalized mutual information.
+def nmi(a: np.ndarray, b: np.ndarray) -> float:
+    """Normalized mutual information of two label vectors.
 
     MI divided by the arithmetic mean of the two marginal entropies,
     natural log; 0/0 is defined as 0.
     """
-    a = np.asarray(assignments)
-    b = np.asarray(labels)
     if a.shape != b.shape or a.ndim != 1 or len(a) < 1:
         raise InvalidInputError("nmi expects two equal-length label vectors")
     n = len(a)
@@ -114,13 +110,12 @@ def nmi(assignments, labels) -> float:
     return min(max(mi / denom, 0.0), 1.0)
 
 
-def elbow_index(s):
+def elbow_index(s: np.ndarray):
     """Index of the point farthest from the chord between the endpoints.
 
     Works on (i, s_i), i = 0..n-1, along the last axis; ties break to the
     smallest index. A 2-point sequence lies on its chord, so it gives 0.
     """
-    s = np.asarray(s, dtype=np.float64)
     if s.ndim < 1 or s.shape[-1] < 2:
         raise InvalidInputError("elbow_index needs sequences of length >= 2")
     dx = float(s.shape[-1] - 1)

@@ -35,9 +35,8 @@ class ToyDataset:
         return len(self.ys)
 
 
-def toy_point(y, u, eps) -> np.ndarray:
+def toy_point(y: np.ndarray, u: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Apply the generative equations to explicit latent draws, eps of shape (..., 2)."""
-    eps = np.asarray(eps, dtype=np.float64)
     x1 = u + CLASS_SHIFT * y + eps[..., 0] + SKEW_GAIN * np.abs(eps[..., 1])
     return np.stack((x1, eps[..., 1]), axis=-1)
 
@@ -52,25 +51,18 @@ def sample_dataset(n: int, rng: Rng) -> ToyDataset:
     return ToyDataset(xs=toy_point(y, u, eps), ys=y.astype(np.int64))
 
 
-def distance_to_core_segment(x, y):
-    """Euclidean distance from x to the class-y core segment on the x1 axis.
-
-    x is one point (2,) with one label, giving a float, or (N, 2) points
-    with N labels, giving an (N,) array.
-    """
-    y = np.asarray(y)
+def distance_to_core_segment(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each of the (N, 2) points x to the core segment on the
+    x1 axis of its class y, (N,) labels; one point is a (1, 2) row."""
     if not np.all((y == 0) | (y == 1)):
         raise InvalidInputError(f"class id must be 0 or 1, got {y[(y != 0) & (y != 1)]}")
-    x = np.asarray(x, dtype=np.float64)
     center = CLASS_SHIFT * y
-    x1 = np.clip(x[..., 0], center - CORE_HALF_WIDTH, center + CORE_HALF_WIDTH)
-    d = np.hypot(x[..., 0] - x1, x[..., 1])
-    return float(d) if d.ndim == 0 else d
+    x1 = np.clip(x[:, 0], center - CORE_HALF_WIDTH, center + CORE_HALF_WIDTH)
+    return np.hypot(x[:, 0] - x1, x[:, 1])
 
 
-def bayes_rule(xs) -> np.ndarray:
+def bayes_rule(xs: np.ndarray) -> np.ndarray:
     """Optimal classifier for the toy distribution: class 1 iff x1 > 2."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     return (xs[:, 0] > 0.5 * CLASS_SHIFT).astype(np.int64)
 
 

@@ -103,16 +103,17 @@ def test_evr_all_zero_raises():
 
 
 def test_select_k_worked_examples():
-    assert canon.select_k([0.2, 0.8, 0.9, 0.95, 1.0]) == 2
-    assert canon.select_k([0.0, 1.0, 1.0, 1.0, 1.0]) == 2
+    assert canon.select_k(np.array([0.2, 0.8, 0.9, 0.95, 1.0])) == 2
+    assert canon.select_k(np.array([0.0, 1.0, 1.0, 1.0, 1.0])) == 2
 
 
 def test_select_k_collinear_and_single():
-    assert canon.select_k([0.25, 0.5, 0.75, 1.0]) == 1
-    assert canon.select_k([1.0]) == 1
+    assert canon.select_k(np.array([0.25, 0.5, 0.75, 1.0])) == 1
+    with pytest.raises(InvalidInputError):
+        canon.select_k(np.array([1.0]))
 
 
-@given(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=10))
+@given(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=10))
 @settings(max_examples=50, deadline=None)
 def test_select_k_always_in_range(vals):
     s = np.cumsum(np.sort(np.asarray(vals))[::-1])
@@ -126,7 +127,7 @@ def test_select_k_always_in_range(vals):
 def test_select_k_is_one_on_every_two_point_sequence(a, b):
     # both points lie on the chord, so the elbow is the first point: with
     # 2-D latents every sample loses exactly one direction
-    assert canon.select_k([min(a, b), max(a, b)]) == 1
+    assert canon.select_k(np.array([min(a, b), max(a, b)])) == 1
 
 
 def test_stacked_calls_match_per_sample_calls():
@@ -362,7 +363,7 @@ def test_canonicalize_batch_equals_per_row_calls(denoiser, trained_model, schedu
     batch, _ = canon.canonicalize_batch(x, y, model, schedule, t_e=600, cfg_scale=1.0, t_r=100)
     assert np.all(batch.k == 1)
     for i in range(len(x)):
-        one, _ = canon.canonicalize_batch(x[i], y[i], model, schedule,
+        one, _ = canon.canonicalize_batch(x[i:i + 1], y[i:i + 1], model, schedule,
                                           t_e=600, cfg_scale=1.0, t_r=100)
         assert len(one) == 1 and one.k[0] == 1
         for name in VECTOR_COLUMNS:
@@ -456,7 +457,7 @@ def test_failed_bundle_write_keeps_the_previous_file(class1_bundles, tmp_path):
 def test_feature_quality_separated_features():
     feats = np.array([[1.0, 0.0]] * 10 + [[0.0, 1.0]] * 10)
     labels = np.array([0] * 10 + [1] * 10)
-    assert canon.feature_quality(feats, labels, 2, Rng(0)) == pytest.approx(1.0, abs=1e-12)
+    assert canon.feature_quality(feats, labels, Rng(0)) == pytest.approx(1.0, abs=1e-12)
     assert canon.within_class_var(feats, labels)[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -464,11 +465,4 @@ def test_feature_quality_random_features_low_nmi():
     rng = Rng(55)
     feats = rng.normal(size=(200, 6))
     labels = rng.integers(0, 2, size=200)
-    assert canon.feature_quality(feats, labels, 2, Rng(1)) < 0.1
-
-
-def test_feature_quality_requires_matching_k():
-    feats = Rng(2).normal(size=(20, 3))
-    labels = np.array([0, 1] * 10)
-    with pytest.raises(InvalidInputError):
-        canon.feature_quality(feats, labels, 3, Rng(0))
+    assert canon.feature_quality(feats, labels, Rng(1)) < 0.1

@@ -530,9 +530,11 @@ def test_bundles_made_from_another_dataset_are_refused(recipe_dir, tmp_path, cap
 
 
 @pytest.mark.parametrize("report", ["{not json", "[500]", "{}", '{"chosen": "500"}',
-                                    '{"chosen": 500.0}'],
+                                    '{"chosen": 500.0}', '{"chosen": 5000}', '{"chosen": 0}',
+                                    '{"chosen": -100}'],
                          ids=["not-json", "not-an-object", "no-chosen", "chosen-a-string",
-                              "chosen-a-float"])
+                              "chosen-a-float", "chosen-past-t_max", "chosen-0",
+                              "chosen-negative"])
 def test_clarid_refuses_a_damaged_te_report(recipe_dir, tmp_path, capsys, report):
     copy_artifacts(recipe_dir, tmp_path, "toy_data.csv", "cdm_checkpoint.json")
     (tmp_path / "te_report.json").write_text(report)
@@ -540,6 +542,40 @@ def test_clarid_refuses_a_damaged_te_report(recipe_dir, tmp_path, capsys, report
     err = capsys.readouterr().err
     assert "code=INVALID_INPUT" in err and "te_report.json" in err
     assert not (tmp_path / "bundles.jsonl").exists()
+
+
+@pytest.mark.parametrize("name,text", [
+    ("te_report.json", "{}"),
+    ("te_report.json", "xx"),
+    ("te_report.json", '{"chosen": 1000, "accuracies": "abc"}'),
+    ("features_report.json", "[1]"),
+    ("metrics_student.json", '{"clean_accuracy": 1}'),
+    ("before_after.csv", "sample_id,dist_base\n0,0.5\n"),
+    ("before_after.csv", "sample_id,dist_base,dist_canon\n0,0.5,x\n"),
+], ids=["te-no-chosen", "te-not-json", "te-accuracies-a-string", "features-a-list",
+        "metrics-no-robust", "csv-no-dist_canon", "csv-dist_canon-x"])
+def test_report_refuses_a_damaged_artifact(tmp_path, capsys, name, text):
+    (tmp_path / name).write_text(text)
+    assert run("report", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "code=INVALID_INPUT" in err and name in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("pool", ["class 0 only", "empty"])
+def test_train_student_refuses_a_pool_missing_a_class(recipe_dir, tmp_path, capsys, pool):
+    copy_artifacts(recipe_dir, tmp_path, "toy_data.csv", "pool.jsonl")
+    path = tmp_path / "pool.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    kept, missing = [], 0
+    if pool == "class 0 only":
+        kept, missing = [line for line in lines if json.loads(line)["cond"] == 0], 1
+    assert len(kept) < len(lines)
+    path.write_text("".join(kept))
+    assert run("train-student", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "code=INVALID_INPUT" in err and f"pool.jsonl has no entries for class {missing}" in err
+    assert not (tmp_path / "student_checkpoint.json").exists()
 
 
 @pytest.mark.parametrize("key,value", [("schedule.ddim_eta", 0.0), ("attack.norm", "linf"),

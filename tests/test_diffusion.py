@@ -38,28 +38,28 @@ def test_schedule_beta_range(schedule):
 
 
 def test_q_sample_zero_noise(schedule):
-    x0 = np.array([2.0, -1.0])
-    out = q_sample(x0, 500, np.zeros(2), schedule)
+    x0 = np.array([[2.0, -1.0]])
+    out = q_sample(x0, np.array([500]), np.zeros((1, 2)), schedule)
     assert np.allclose(out, np.sqrt(schedule.alpha_bar[500]) * x0)
 
 
 def test_q_sample_terminal_noise_dominates(schedule):
-    x0 = np.array([2.0, -1.0])
-    eps = np.array([1.0, 1.0])
-    out = q_sample(x0, schedule.t_max, eps, schedule)
+    x0 = np.array([[2.0, -1.0]])
+    eps = np.array([[1.0, 1.0]])
+    out = q_sample(x0, np.array([schedule.t_max]), eps, schedule)
     assert np.linalg.norm(out - eps) < 0.35  # alpha_bar(T) ~ 4e-5
 
 
 def test_q_sample_quarter_alpha():
     sched = NoiseSchedule(t_max=1, beta=np.array([0.0, 0.75]),
                           alpha_bar=np.array([1.0, 0.25]))
-    out = q_sample(np.array([1.0, 0.0]), 1, np.array([0.0, 1.0]), sched)
-    assert np.allclose(out, [0.5, np.sqrt(0.75)])
+    out = q_sample(np.array([[1.0, 0.0]]), np.array([1]), np.array([[0.0, 1.0]]), sched)
+    assert np.allclose(out, [[0.5, np.sqrt(0.75)]])
 
 
 def test_q_sample_rejects_bad_timestep(schedule):
     with pytest.raises(InvalidInputError):
-        q_sample(np.zeros(2), 0, np.zeros(2), schedule)
+        q_sample(np.zeros((1, 2)), np.array([0]), np.zeros((1, 2)), schedule)
 
 
 # ---------------------------------------------------------------- embeddings / model
@@ -481,7 +481,7 @@ def test_trained_eps_error_against_the_exact_posterior(trained_model, schedule, 
     exact = exact_oracle.ExactDenoiser(schedule.alpha_bar)
     lines, worse = [], []
     for t in (10, 50, 100, 200, 300, 500, 700, 1000):
-        x_t = q_sample(points.xs, t, noise, schedule)
+        x_t = q_sample(points.xs, np.array([t]), noise, schedule)
         line = f"t={t:4d}"
         for name, cond in (("label", points.ys), ("null", trained_model.null_id)):
             ideal = exact.eps(x_t, t, cond)
@@ -519,7 +519,7 @@ def test_single_step_exact_eps_recovers_x0(schedule):
     known_eps = np.array([[0.4, -0.9]])
     x0 = np.array([[4.1, 0.02]])
     t = 700
-    x_t = q_sample(x0[0], t, known_eps[0], schedule)[None, :]
+    x_t = q_sample(x0, np.array([t]), known_eps, schedule)
     sched_2step = NoiseSchedule(t_max=schedule.t_max, beta=schedule.beta,
                                 alpha_bar=schedule.alpha_bar, ddim_steps=1)
     out = decode_batch(x_t, t, np.array([1]), StubModel(), sched_2step, cfg_scale=1.0)

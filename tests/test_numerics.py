@@ -105,13 +105,14 @@ def test_nmi_permutation_relabel():
 
 
 def test_nmi_single_cluster_zero():
-    assert numerics.nmi([0, 0, 0, 0], [0, 0, 1, 1]) == 0.0
+    assert numerics.nmi(np.array([0, 0, 0, 0]), np.array([0, 0, 1, 1])) == 0.0
 
 
 def test_nmi_worked_example():
-    val = numerics.nmi([0, 0, 0, 1], [0, 0, 1, 1])
+    a, b = np.array([0, 0, 0, 1]), np.array([0, 0, 1, 1])
+    val = numerics.nmi(a, b)
     assert val == pytest.approx(0.344, abs=5e-4)
-    assert abs(val - brute_nmi([0, 0, 0, 1], [0, 0, 1, 1])) <= 1e-10
+    assert abs(val - brute_nmi(a, b)) <= 1e-10
 
 
 def test_nmi_matches_bruteforce_oracle():
@@ -174,15 +175,15 @@ def test_cka_degenerate_raises():
 
 
 def test_elbow_step_sequence():
-    assert numerics.elbow_index([0.0, 1.0, 1.0, 1.0, 1.0]) == 1
+    assert numerics.elbow_index(np.array([0.0, 1.0, 1.0, 1.0, 1.0])) == 1
 
 
 def test_elbow_collinear_tie_break():
-    assert numerics.elbow_index([0.0, 0.25, 0.5, 0.75, 1.0]) == 0
+    assert numerics.elbow_index(np.array([0.0, 0.25, 0.5, 0.75, 1.0])) == 0
 
 
 def test_elbow_worked_example():
-    assert numerics.elbow_index([0.2, 0.8, 0.9, 0.95, 1.0]) == 1
+    assert numerics.elbow_index(np.array([0.2, 0.8, 0.9, 0.95, 1.0])) == 1
 
 
 def test_elbow_matches_bruteforce_on_1000_sequences():

@@ -1,7 +1,8 @@
 """Guard: the program's source holds only what the program itself refers to.
 
 Code that only the tests call belongs beside the tests (`tape_oracle.py`,
-`exact_oracle.py`), not in `src/diffcanon/`.
+`exact_oracle.py`), not in `src/diffcanon/`, and a function takes the
+arrays its stage passes, with no input form that only tests use.
 """
 
 import ast
@@ -29,6 +30,16 @@ UNRANGED = {
     "te.grid_fractions": "each entry is checked by grid_from_config",
     "student.vanilla": "a boolean",
     "clarid.cfg_scale": "any finite guidance weight is defined",
+}
+
+# The functions that lift their input with np.atleast_1d or np.atleast_2d, and why.
+COERCED = {
+    "time_embedding": "a walk step's one timestep, past the table when schedule.t_max "
+                      ">= TIME_TABLE_SIZE",
+    "CondDenoiser._cache": "one (2,) point, a form of the denoiser interface that "
+                           "exact_oracle.py shares and the feature and Jacobian tests use",
+    "_walk_batch": "one point, and one cond or te_switch for every row, forms of the "
+                   "decode and invert interface that the walk tests use",
 }
 
 
@@ -72,8 +83,30 @@ def unreferenced_definitions() -> set[str]:
         dropped |= newly
 
 
+def coercion_sites() -> set[str]:
+    """Qualified names of the functions in src/ that call np.atleast_1d or np.atleast_2d."""
+    sites = set()
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if getattr(child, "attr", getattr(child, "id", None)) in ("atleast_1d", "atleast_2d"):
+                sites.add(scope)
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            visit(child, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), "")
+    return sites
+
+
 def test_every_definition_in_src_has_a_caller_in_src():
     assert unreferenced_definitions() == set(UNREFERENCED)
+
+
+def test_only_the_named_functions_coerce_their_input():
+    assert coercion_sites() == set(COERCED)
 
 
 def test_every_setting_has_a_range_or_a_reason():

@@ -25,8 +25,8 @@ def test_class0_center():
 def test_noise_free_points_lie_on_segment():
     for y in (0, 1):
         for u in np.linspace(-0.1, 0.1, 11):
-            x = toydata.toy_point(y, float(u), np.zeros(2))
-            assert toydata.distance_to_core_segment(x, y) == 0.0
+            x = toydata.toy_point(y, float(u), np.zeros((1, 2)))
+            assert toydata.distance_to_core_segment(x, np.array([y])) == 0.0
 
 
 def test_marginals_monte_carlo():
@@ -40,15 +40,17 @@ def test_marginals_monte_carlo():
 
 
 def test_distance_on_segment():
-    assert toydata.distance_to_core_segment(np.array([4.05, 0.0]), 1) == 0.0
+    assert toydata.distance_to_core_segment(np.array([[4.05, 0.0]]), np.array([1])) == 0.0
 
 
 def test_distance_perpendicular_foot():
-    assert toydata.distance_to_core_segment(np.array([4.0, 0.2]), 1) == pytest.approx(0.2)
+    assert toydata.distance_to_core_segment(np.array([[4.0, 0.2]]),
+                                            np.array([1])) == pytest.approx([0.2])
 
 
 def test_distance_endpoint_case():
-    assert toydata.distance_to_core_segment(np.array([4.3, 0.0]), 1) == pytest.approx(0.2)
+    assert toydata.distance_to_core_segment(np.array([[4.3, 0.0]]),
+                                            np.array([1])) == pytest.approx([0.2])
 
 
 def scalar_distance_reference(x, y: int) -> float:
@@ -69,13 +71,13 @@ def test_distance_of_point_arrays_equals_per_point_calls():
     d = toydata.distance_to_core_segment(xs, ys)
     assert d.shape == (len(xs),)
     for i in range(len(xs)):
-        one = toydata.distance_to_core_segment(xs[i], int(ys[i]))
-        assert isinstance(one, float)
-        assert d[i] == one == scalar_distance_reference(xs[i], int(ys[i])), i
+        one = toydata.distance_to_core_segment(xs[i:i + 1], ys[i:i + 1])
+        assert one.shape == (1,)
+        assert d[i] == one[0] == scalar_distance_reference(xs[i], int(ys[i])), i
     with pytest.raises(InvalidInputError):
         toydata.distance_to_core_segment(xs[:3], np.array([0, 2, 1]))
     with pytest.raises(InvalidInputError):
-        toydata.distance_to_core_segment(xs[0], 2)
+        toydata.distance_to_core_segment(xs[:1], np.array([2]))
 
 
 def test_failed_csv_write_keeps_the_previous_file(tmp_path):
@@ -138,7 +140,7 @@ def test_distance_nonnegative_and_zero_only_near_segment(seed):
     rng = Rng(seed)
     x = rng.uniform(-6.0, 6.0, size=2)
     for y in (0, 1):
-        d = toydata.distance_to_core_segment(x, y)
+        d = toydata.distance_to_core_segment(x[None], np.array([y]))[0]
         assert d >= 0.0
         lo = 4.0 * y - 0.1
         hi = 4.0 * y + 0.1

@@ -99,9 +99,14 @@ def read_features(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser, sched: No
     return model.hidden(invert_batch(xs, t_r, ys, model, sched), t_r, ys)
 
 
-# Rows per Jacobian/SVD/projection block: feature_jvp keeps about seven (rows, 80)
-# temporaries alive, which on 2000 rows at once added 3 MB to clarid's peak RSS.
-_BLOCK_ROWS = 256
+# Rows per block wherever a stage would otherwise hold per-row temporaries for a
+# whole batch. canonicalize_batch's Jacobian/SVD/projection: feature_jvp keeps about
+# seven (rows, 80) temporaries alive, which on 2000 rows at once added 3 MB to
+# clarid's peak RSS. The student's predict and pgd_attack: the (rows, 64) activations
+# and the attack's tape took distill.evaluate's traced peak from 0.94 MB at 256 rows
+# to 6.5 MB at 2000 rows at once. A multiple of 64 keeps the gemm's row groups, so a
+# row computes the same bits in a block as in the whole batch.
+BLOCK_ROWS = 256
 
 
 def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
@@ -113,13 +118,13 @@ def canonicalize_batch(xs: np.ndarray, ys: np.ndarray, model: CondDenoiser,
     latents x_te the samples invert to, before projection; decoding x_te
     gives the unprojected round trip.
     Every step is batched; Jacobian, SVD, k and projection run in blocks of
-    _BLOCK_ROWS rows. cfg_scale = 1 decodes without guidance.
+    BLOCK_ROWS rows. cfg_scale = 1 decodes without guidance.
     """
     x_te = invert_batch(xs, t_e, ys, model, sched)
     latents = np.empty_like(x_te)
     ks = np.empty(len(xs), dtype=np.int64)
-    for lo in range(0, len(xs), _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
+    for lo in range(0, len(xs), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
         res = svd(jacobian(model, x_te[rows], t_e, ys[rows]))
         ks[rows] = select_k(evr_sequence(res.sigma))
         latents[rows] = project_out(x_te[rows], res.v, ks[rows])

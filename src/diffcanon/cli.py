@@ -59,15 +59,24 @@ def _typed(value, kind: type):
     return value
 
 
+def _within(value, low, high, name: str):
+    """value, refused unless low <= value <= high (so never NaN)."""
+    if not low <= value <= high:
+        raise ValueError(f"{name} = {value} is outside [{low}, {high}]")
+    return value
+
+
+def _report_chosen(report, cfg: dict) -> int:
+    """A saturation report's chosen t_e, refused unless it is in [1, schedule.t_max]."""
+    return _within(_typed(_typed(report, dict)["chosen"], int), 1, cfg["schedule.t_max"],
+                   "chosen")
+
+
 def _chosen_te(cfg: dict, out: str) -> int:
     if cfg["clarid.t_e"] > 0:
         return cfg["clarid.t_e"]
     path = _require(os.path.join(out, TE_REPORT), "saturation report")
-    chosen = _parse(path, lambda f: _typed(_typed(json.load(f), dict)["chosen"], int))
-    if not 1 <= chosen <= cfg["schedule.t_max"]:
-        raise InvalidInputError(
-            f"{path}: chosen = {chosen} is outside [1, schedule.t_max = {cfg['schedule.t_max']}]")
-    return chosen
+    return _parse(path, lambda f: _report_chosen(json.load(f), cfg))
 
 
 def _load_rows(path: str, dataset: toydata.ToyDataset) -> canon.Bundles:
@@ -232,10 +241,13 @@ def cmd_report(cfg: dict, out: str) -> None:
     def number(value) -> float:
         return float(_typed(value, float))
 
+    def accuracy(value) -> float:
+        return _within(number(value), 0.0, 1.0, "accuracy")
+
     def te(f) -> None:
-        report = _typed(json.load(f), dict)
-        add("te_chosen", _typed(report["chosen"], int))
-        add("te_max_accuracy", max(map(number, _typed(report["accuracies"], list))))
+        report = json.load(f)
+        add("te_chosen", _report_chosen(report, cfg))
+        add("te_max_accuracy", max(map(accuracy, _typed(report["accuracies"], list))))
 
     def features(f) -> None:
         feat = _typed(json.load(f), dict)
@@ -250,7 +262,7 @@ def cmd_report(cfg: dict, out: str) -> None:
         def parse(f) -> None:
             m = _typed(json.load(f), dict)
             for key in ("clean_accuracy", "robust_accuracy"):
-                add(f"{target}_{key}", number(m[key]))
+                add(f"{target}_{key}", accuracy(m[key]))
         return parse
 
     def before_after(f) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .canon import Bundles
+from .canon import BLOCK_ROWS, Bundles
 from .errors import (ConfigError, DegenerateInputError, InvalidInputError,
                      TrainingDivergedError)
 from .rng import Rng
@@ -45,8 +45,13 @@ class StudentClassifier:
         return [getattr(self, name) for name in self.PARAM_NAMES]
 
     def _hidden(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h1 = np.maximum(x @ self.W1.data + self.b1.data, 0.0)
-        return h1, np.maximum(h1 @ self.W2.data + self.b2.data, 0.0)
+        h1 = x @ self.W1.data
+        h1 += self.b1.data
+        np.maximum(h1, 0.0, out=h1)
+        h2 = h1 @ self.W2.data
+        h2 += self.b2.data
+        np.maximum(h2, 0.0, out=h2)
+        return h1, h2
 
     def forward_graph(self, x: Tensor) -> tuple[Tensor, Tensor]:
         """Return (features, logits) as graph tensors.
@@ -69,8 +74,13 @@ class StudentClassifier:
         return feats, feats @ self.W3 + self.b3
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        feats = self._hidden(x)[1]
-        return np.argmax(feats @ self.W3.data + self.b3.data, axis=1)
+        """Predicted labels, computed BLOCK_ROWS rows at a time."""
+        labels = np.empty(len(x), dtype=np.int64)
+        for lo in range(0, len(x), BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            feats = self._hidden(x[rows])[1]
+            labels[rows] = np.argmax(feats @ self.W3.data + self.b3.data, axis=1)
+        return labels
 
 
 @dataclass
@@ -342,17 +352,26 @@ def train_student(data: ToyDataset, pool: Bundles | None, cfg: DistillConfig,
 
 def pgd_attack(student: StudentClassifier, x: np.ndarray, y: np.ndarray,
                atk: AttackConfig, rng: Rng) -> np.ndarray:
-    """L-infinity PGD: random start, signed-gradient steps, per-step projection."""
+    """L-infinity PGD: random start, signed-gradient steps, per-step projection.
+
+    The random start is drawn for all rows at once; then every step runs on
+    one block of BLOCK_ROWS rows before the next block, so the tape holds one
+    block. Rows are independent and a step reads only the sign of each row's
+    input gradient, which the mean loss's 1/len(block) scale does not change:
+    each row ends where an attack on the whole batch puts it.
+    """
     if atk.epsilon <= 0 or atk.steps < 1:
         raise InvalidInputError("attack needs epsilon > 0 and steps >= 1")
     x_adv = x + rng.uniform(-atk.epsilon, atk.epsilon, size=x.shape)
-    for _ in range(atk.steps):
-        x_t = Tensor(x_adv, requires_grad=True)
-        _, logits = student.forward_graph(x_t)
-        loss = cross_entropy(logits, y)
-        loss.backward()
-        x_adv = x_adv + atk.step_size * np.sign(x_t.grad)
-        x_adv = np.clip(x_adv, x - atk.epsilon, x + atk.epsilon)
+    for lo in range(0, len(x), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        x_b, low, high = x_adv[rows], x[rows] - atk.epsilon, x[rows] + atk.epsilon
+        for _ in range(atk.steps):
+            x_t = Tensor(x_b, requires_grad=True)
+            _, logits = student.forward_graph(x_t)
+            cross_entropy(logits, y[rows]).backward()
+            x_b = np.clip(x_b + atk.step_size * np.sign(x_t.grad), low, high)
+        x_adv[rows] = x_b
     return x_adv
 
 

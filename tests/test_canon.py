@@ -378,7 +378,7 @@ def test_canonicalize_blocks_do_not_change_the_result(trained_model, schedule, d
     x, y = mixed_batch(dataset)
     whole, _ = canon.canonicalize_batch(x, y, trained_model, schedule,
                                         t_e=600, cfg_scale=1.0, t_r=100)
-    monkeypatch.setattr(canon, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(canon, "BLOCK_ROWS", 3)
     blocked, _ = canon.canonicalize_batch(x, y, trained_model, schedule,
                                           t_e=600, cfg_scale=1.0, t_r=100)
     assert np.array_equal(whole.k, blocked.k)

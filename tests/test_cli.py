@@ -552,8 +552,17 @@ def test_clarid_refuses_a_damaged_te_report(recipe_dir, tmp_path, capsys, report
     ("metrics_student.json", '{"clean_accuracy": 1}'),
     ("before_after.csv", "sample_id,dist_base\n0,0.5\n"),
     ("before_after.csv", "sample_id,dist_base,dist_canon\n0,0.5,x\n"),
+    ("te_report.json", '{"chosen": 5000, "accuracies": [0.5]}'),
+    ("te_report.json", '{"chosen": 0, "accuracies": [0.5]}'),
+    ("te_report.json", '{"chosen": 500, "accuracies": [0.5, 1.5]}'),
+    ("te_report.json", '{"chosen": 500, "accuracies": [0.5, -3]}'),
+    ("metrics_student.json", '{"clean_accuracy": 1.5, "robust_accuracy": 0.5}'),
+    ("metrics_student.json", '{"clean_accuracy": 0.5, "robust_accuracy": -2}'),
+    ("metrics_vanilla.json", '{"clean_accuracy": 0.5, "robust_accuracy": NaN}'),
 ], ids=["te-no-chosen", "te-not-json", "te-accuracies-a-string", "features-a-list",
-        "metrics-no-robust", "csv-no-dist_canon", "csv-dist_canon-x"])
+        "metrics-no-robust", "csv-no-dist_canon", "csv-dist_canon-x", "te-chosen-past-t_max",
+        "te-chosen-0", "te-accuracy-above-1", "te-accuracy-negative", "metrics-clean-above-1",
+        "metrics-robust-negative", "metrics-robust-nan"])
 def test_report_refuses_a_damaged_artifact(tmp_path, capsys, name, text):
     (tmp_path / name).write_text(text)
     assert run("report", str(tmp_path)) == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import tape_oracle as oracle
 from brute_oracle import brute_align, brute_cluster, central_differences, fd_on_tensor
 from diffcanon import distill, toydata
 from diffcanon.autodiff import Tensor
-from diffcanon.canon import Bundles
+from diffcanon.canon import BLOCK_ROWS, Bundles
 from diffcanon.errors import ConfigError, InvalidInputError
 from diffcanon.rng import Rng
 
@@ -504,11 +505,16 @@ def test_pgd_input_gradient_matches_finite_difference(trained_student):
         assert abs(fd - got) / max(abs(fd), abs(got), 1e-8) <= 1e-4
 
 
-def test_pgd_matches_tape_oracle_on_trained_student(trained_student):
+# several blocks and a partial last one must give the whole batch's bits
+MULTI_BLOCK_ROWS = 2 * BLOCK_ROWS + 37
+
+
+@pytest.mark.parametrize("n", [300, MULTI_BLOCK_ROWS])
+def test_pgd_matches_tape_oracle_on_trained_student(trained_student, n):
     rng = Rng(61)
     atk = distill.AttackConfig(epsilon=0.1, steps=5, step_size=0.05)
-    x = rng.normal(size=(300, 2)) * 2.0 + np.array([2.0, 0.0])
-    y = rng.integers(0, 2, size=300)
+    x = rng.normal(size=(n, 2)) * 2.0 + np.array([2.0, 0.0])
+    y = rng.integers(0, 2, size=n)
     got = distill.pgd_attack(trained_student, x, y, atk, Rng(62))
     want = oracle.pgd_attack(trained_student, x, y, atk, Rng(62))
     assert np.array_equal(got, want)
@@ -528,6 +534,20 @@ def test_attack_config_validation(trained_student):
 def test_bayes_rule_student_is_perfect_on_cores():
     xs = [toydata.toy_point(y, u, np.zeros(2)) for y in (0, 1) for u in (-0.1, 0.0, 0.1)]
     assert np.array_equal(toydata.bayes_rule(np.stack(xs)), [0, 0, 0, 1, 1, 1])
+
+
+def test_evaluate_peak_memory_does_not_grow_with_the_rows(trained_student):
+    # the attack and the predictions hold one block of rows at a time
+    peaks = []
+    for n in (BLOCK_ROWS, 8 * BLOCK_ROWS):
+        data = toydata.sample_dataset(n, Rng(9).split("data"))
+        tracemalloc.start()
+        try:
+            distill.evaluate(trained_student, data, distill.AttackConfig(), Rng(10))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_random_students_average_half_accuracy():
@@ -553,5 +573,9 @@ def test_student_checkpoint_round_trip(trained_student, tmp_path):
     loaded = distill.load_student(path)
     for a, b in zip(trained_student.parameters(), loaded.parameters()):
         assert np.array_equal(a.data, b.data)
-    x = Rng(4).normal(size=(5, 2))
-    assert np.array_equal(trained_student.predict(x), loaded.predict(x))
+    x = Rng(4).normal(size=(MULTI_BLOCK_ROWS, 2)) * 2.0 + np.array([2.0, 0.0])
+    _, logits = trained_student.forward_graph(Tensor(x))
+    want = np.argmax(logits.data, axis=1)
+    assert 0 < want.sum() < len(x)
+    assert np.array_equal(trained_student.predict(x), want)
+    assert np.array_equal(loaded.predict(x), want)

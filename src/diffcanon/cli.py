@@ -60,29 +60,34 @@ def _typed(value, kind: type):
 
 
 def _within(value, low, high, name: str):
-    """value, refused unless low <= value <= high (so never NaN)."""
-    if not low <= value <= high:
-        raise ValueError(f"{name} = {value} is outside [{low}, {high}]")
+    """value, refused unless it is a finite number in [low, high] (so never NaN)."""
+    if not (np.isfinite(value) and low <= value <= high):
+        raise ValueError(f"{name} = {value} is not a finite number in [{low}, {high}]")
     return value
 
 
-def _report_chosen(report, cfg: dict) -> int:
-    """A saturation report's chosen t_e, refused unless it is in [1, schedule.t_max]."""
-    return _within(_typed(_typed(report, dict)["chosen"], int), 1, cfg["schedule.t_max"],
-                   "chosen")
+def _report_chosen(report) -> int:
+    """A saturation report's chosen t_e, refused unless it is in [1, diffusion.T_MAX]."""
+    return _within(_typed(_typed(report, dict)["chosen"], int), 1, diffusion.T_MAX, "chosen")
 
 
 def _chosen_te(cfg: dict, out: str) -> int:
     if cfg["clarid.t_e"] > 0:
         return cfg["clarid.t_e"]
     path = _require(os.path.join(out, TE_REPORT), "saturation report")
-    return _parse(path, lambda f: _report_chosen(json.load(f), cfg))
+    return _parse(path, lambda f: _report_chosen(json.load(f)))
 
 
 def _load_rows(path: str, dataset: toydata.ToyDataset) -> canon.Bundles:
     """The bundles at path, refused unless each seed_sample_id is a dataset row and each
-    cond that row's label: bundles made from another dataset are not consumed."""
+    cond that row's label: bundles made from another dataset are not consumed. The
+    points are as wide as the dataset's and the features as the denoiser's hidden layer."""
     bundles = canon.load_bundles(path)
+    d, f = dataset.xs.shape[1], diffusion.CondDenoiser.hidden_dim
+    for name, width in (("latent", d), ("canonical_sample", d), ("canonical_feature", f)):
+        got = getattr(bundles, name).shape[1]
+        if len(bundles) and got != width:
+            raise InvalidInputError(f"{path}: {name} holds {got} values per row, not {width}")
     ids, n = bundles.seed_sample_id, len(dataset)
     bad = (ids < 0) | (ids >= n)
     bad[~bad] = bundles.cond[~bad] != dataset.ys[ids[~bad]]
@@ -128,7 +133,7 @@ def cmd_gen_data(cfg: dict, out: str) -> None:
 
 def cmd_train_cdm(cfg: dict, out: str) -> None:
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
-    sched = config.build(cfg, "schedule", diffusion.linear_schedule)
+    sched = diffusion.linear_schedule()
     tc = config.build(cfg, "cdm", diffusion.TrainConfig)
     model, losses = diffusion.train_cdm(dataset, sched, tc, Rng(cfg["seed"]).split("cdm"))
     diffusion.save_checkpoint(model, os.path.join(out, CDM_CKPT))
@@ -138,7 +143,7 @@ def cmd_train_cdm(cfg: dict, out: str) -> None:
 
 def cmd_find_te(cfg: dict, out: str) -> None:
     model = diffusion.load_checkpoint(_require(os.path.join(out, CDM_CKPT), "denoiser checkpoint"))
-    sched = config.build(cfg, "schedule", diffusion.linear_schedule)
+    sched = diffusion.linear_schedule()
     grid = config.grid_from_config(cfg)
     report = canon.find_te(model, sched, toydata.bayes_rule, grid, cfg["te.m"],
                            Rng(cfg["seed"]).split("te"), tol=cfg["te.tol"])
@@ -150,7 +155,7 @@ def cmd_find_te(cfg: dict, out: str) -> None:
 def cmd_clarid(cfg: dict, out: str) -> None:
     model = diffusion.load_checkpoint(_require(os.path.join(out, CDM_CKPT), "denoiser checkpoint"))
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
-    sched = config.build(cfg, "schedule", diffusion.linear_schedule)
+    sched = diffusion.linear_schedule()
     t_e = _chosen_te(cfg, out)
     xs, ys = dataset.xs, dataset.ys
     idx = np.arange(min(cfg["clarid.n_samples"], len(ys)))
@@ -179,7 +184,7 @@ def cmd_eval_features(cfg: dict, out: str) -> None:
     if not len(bundles):
         raise InvalidInputError(f"{path} holds no bundles")
     ids, labels = bundles.seed_sample_id, bundles.cond
-    sched = config.build(cfg, "schedule", diffusion.linear_schedule)
+    sched = diffusion.linear_schedule()
     orig_feats = canon.read_features(dataset.xs[ids], labels, model, sched, cfg["clarid.t_r"])
     rng = Rng(cfg["seed"])
     payload = {}
@@ -195,7 +200,7 @@ def cmd_eval_features(cfg: dict, out: str) -> None:
 def cmd_build_pool(cfg: dict, out: str) -> None:
     model = diffusion.load_checkpoint(_require(os.path.join(out, CDM_CKPT), "denoiser checkpoint"))
     dataset = toydata.load_csv(_require(os.path.join(out, DATA_CSV), "toy data"))
-    sched = config.build(cfg, "schedule", diffusion.linear_schedule)
+    sched = diffusion.linear_schedule()
     t_e = _chosen_te(cfg, out)
     xs, ys = dataset.xs, dataset.ys
     picked = distill.pool_rows(ys, cfg["pool.fraction"], Rng(cfg["seed"]).split("pool-select"))
@@ -246,17 +251,18 @@ def cmd_report(cfg: dict, out: str) -> None:
 
     def te(f) -> None:
         report = json.load(f)
-        add("te_chosen", _report_chosen(report, cfg))
+        add("te_chosen", _report_chosen(report))
         add("te_max_accuracy", max(map(accuracy, _typed(report["accuracies"], list))))
 
     def features(f) -> None:
         feat = _typed(json.load(f), dict)
         for key in ("nmi_canonical", "nmi_original"):
             if key in feat:
-                add(key, number(feat[key]))
+                add(key, _within(number(feat[key]), 0.0, 1.0, key))
         for kind in ("canonical", "original"):
             for c, v in sorted(_typed(feat.get(f"within_class_var_{kind}", {}), dict).items()):
-                add(f"var_{kind}_class{c}", number(v))
+                add(f"var_{kind}_class{c}",
+                    _within(number(v), 0.0, np.inf, f"within_class_var_{kind}[{c}]"))
 
     def metrics(target: str):
         def parse(f) -> None:
@@ -268,8 +274,10 @@ def cmd_report(cfg: dict, out: str) -> None:
     def before_after(f) -> None:
         r = list(csv.DictReader(f))
         if r:
-            add("median_dist_canonical", float(np.median([float(x["dist_canon"]) for x in r])))
-            add("median_dist_baseline", float(np.median([float(x["dist_base"]) for x in r])))
+            for name, column in (("median_dist_canonical", "dist_canon"),
+                                 ("median_dist_baseline", "dist_base")):
+                add(name, float(np.median([_within(float(x[column]), 0.0, np.inf, column)
+                                           for x in r])))
 
     for name, parse in ((TE_REPORT, te), (FEATURES_REPORT, features),
                         ("metrics_student.json", metrics("student")),

@@ -1,10 +1,12 @@
 """Flat experiment configuration with strict key checking.
 
-Defaults cover every tunable in the pipeline. The schedule, cdm, student
-and attack keys are the parameters of the signatures that `build` calls,
-with their defaults. A JSON config file and `--set key=value` overrides
-may only touch known keys; values are coerced to the default's type, and
-one outside its RANGES entry is refused. Precedence: CLI > file > defaults.
+Defaults cover every tunable in the pipeline. The cdm, student and
+attack keys are the parameters of the signatures that `build` calls,
+with their defaults. The noise schedule is not a setting: every stage
+walks `diffusion.linear_schedule()`, the one the denoiser is trained on.
+A JSON config file and `--set key=value` overrides may only touch known
+keys; values are coerced to the default's type, and one outside its
+RANGES entry is refused. Precedence: CLI > file > defaults.
 The resolved map is echoed next to the outputs so any artifact can be
 reproduced from its own directory.
 """
@@ -33,7 +35,6 @@ DEFAULTS: dict[str, object] = {
     "seed": 0,
     "out": "runs/toy",
     "data.n": 1000,
-    **_section("schedule", diffusion.linear_schedule),
     **_section("cdm", diffusion.TrainConfig),
     "te.m": 200,
     "te.tol": 0.02,
@@ -79,29 +80,23 @@ def _coerce(key: str, value: object) -> object:
     return str(value)
 
 
-# The range of each bounded setting, as (text, test of the value and the resolved
-# config), checked in this order.
+# The range of each bounded setting, as (text, test of the value), checked in this order.
 RANGES: dict[str, tuple] = {
     # a zero-epoch run would write untrained weights as a trained checkpoint
-    **dict.fromkeys(("data.n", "schedule.t_max", "schedule.ddim_steps", "cdm.epochs",
-                     "cdm.batch_size", "te.m", "clarid.n_samples", "student.epochs",
-                     "student.batch_size", "attack.steps", "eval.n"),
-                    ("at least 1", lambda v, cfg: v >= 1)),
-    "schedule.beta_start": ("in (0, 1)", lambda v, cfg: 0 < v < 1),
-    "schedule.beta_end": ("in [schedule.beta_start = {cfg[schedule.beta_start]}, 1)",
-                          lambda v, cfg: cfg["schedule.beta_start"] <= v < 1),
+    **dict.fromkeys(("data.n", "cdm.epochs", "cdm.batch_size", "te.m", "clarid.n_samples",
+                     "student.epochs", "student.batch_size", "attack.steps", "eval.n"),
+                    ("at least 1", lambda v: v >= 1)),
     **dict.fromkeys(("cdm.lr", "student.lr", "student.tau", "attack.epsilon",
-                     "attack.step_size"), ("above 0", lambda v, cfg: v > 0)),
+                     "attack.step_size"), ("above 0", lambda v: v > 0)),
     **dict.fromkeys(("cdm.label_drop", "student.lambda_cf", "student.lambda_cka"),
-                    ("in [0, 1]", lambda v, cfg: 0 <= v <= 1)),
+                    ("in [0, 1]", lambda v: 0 <= v <= 1)),
     **dict.fromkeys(("te.tol", "student.lambda_cs", "student.lambda_dist"),
-                    ("at least 0", lambda v, cfg: v >= 0)),
+                    ("at least 0", lambda v: v >= 0)),
     # clarid.t_e 0 reads the choice from the search report
     **dict.fromkeys(("clarid.t_e", "clarid.t_r"),
-                    ("in [0, schedule.t_max = {cfg[schedule.t_max]}]",
-                     lambda v, cfg: 0 <= v <= cfg["schedule.t_max"])),
-    "pool.fraction": ("in (0, 1]", lambda v, cfg: 0 < v <= 1),
-    "attack.target": ("student or vanilla", lambda v, cfg: v in ("student", "vanilla")),
+                    (f"in [0, {diffusion.T_MAX}]", lambda v: 0 <= v <= diffusion.T_MAX)),
+    "pool.fraction": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "attack.target": ("student or vanilla", lambda v: v in ("student", "vanilla")),
 }
 
 
@@ -122,8 +117,8 @@ def resolve(config_path: str | None = None, overrides: dict[str, object] | None 
         cfg.update((key, _coerce(key, value)) for key, value in loaded.items())
     cfg.update((key, _coerce(key, value)) for key, value in (overrides or {}).items())
     for key, (text, within) in RANGES.items():
-        if not within(cfg[key], cfg):
-            raise ConfigError(f"{key} must be {text.format(cfg=cfg)}, got {cfg[key]!r}")
+        if not within(cfg[key]):
+            raise ConfigError(f"{key} must be {text}, got {cfg[key]!r}")
     grid_from_config(cfg)
     return cfg
 
@@ -148,7 +143,7 @@ def grid_from_config(cfg: dict) -> list[int]:
             fraction = float("nan")
         if not 0.0 <= fraction <= 1.0:  # NaN fails too
             raise ConfigError(f"te.grid_fractions: {entry.strip()!r} is not a number in [0, 1]")
-        grid.add(round(fraction * cfg["schedule.t_max"]))
+        grid.add(round(fraction * diffusion.T_MAX))
     if not grid:
         raise ConfigError("te.grid_fractions is empty")
     return sorted(grid)

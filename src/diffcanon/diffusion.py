@@ -37,39 +37,44 @@ EMA_DECAY = 0.99
 CHECKPOINT_FORMAT = "cdm-checkpoint-v2"
 
 
+# Timesteps of the one noise schedule that every stage walks: the denoiser is
+# trained on it, so the t_e search, inversion, decoding and feature reads share it.
+T_MAX = 1000
+
+
 @dataclass
 class NoiseSchedule:
     t_max: int
     beta: np.ndarray            # beta[0] unused, beta[1..T] the forward variances
     alpha_bar: np.ndarray       # alpha_bar[t] = prod_{k<=t} (1 - beta_k), alpha_bar[0] = 1
-    ddim_steps: int = 100
+    ddim_steps: int
+
+    def __post_init__(self):
+        # a timestep past T_MAX has no row in the denoiser's time table
+        if not 1 <= self.t_max <= T_MAX:
+            raise InvalidInputError(f"t_max must be in [1, {T_MAX}], got {self.t_max}")
 
 
-def linear_schedule(t_max: int = 1000, beta_start: float = 1e-4, beta_end: float = 0.02,
-                    ddim_steps: int = 100) -> NoiseSchedule:
-    beta = np.zeros(t_max + 1)
-    beta[1:] = np.linspace(beta_start, beta_end, t_max)
+def linear_schedule(ddim_steps: int = 100) -> NoiseSchedule:
+    """The schedule: T_MAX steps, beta rising linearly from 1e-4 to 0.02."""
+    beta = np.zeros(T_MAX + 1)
+    beta[1:] = np.linspace(1e-4, 0.02, T_MAX)
     alpha_bar = np.cumprod(1.0 - beta)
-    return NoiseSchedule(t_max=t_max, beta=beta, alpha_bar=alpha_bar, ddim_steps=ddim_steps)
+    return NoiseSchedule(t_max=T_MAX, beta=beta, alpha_bar=alpha_bar, ddim_steps=ddim_steps)
 
 
-def time_embedding(t, dim: int = 16) -> np.ndarray:
-    """Sinusoidal embedding of (possibly batched) timesteps."""
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+def time_embedding(t: np.ndarray, dim: int = 16) -> np.ndarray:
+    """Sinusoidal embedding of a batch of timesteps."""
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     args = t[:, None] * freqs[None, :]
     return np.concatenate([np.sin(args), np.cos(args)], axis=1)
 
 
-# Integer timesteps below this read their embedding from a cached table.
-TIME_TABLE_SIZE = 1024
-
-
 @lru_cache(maxsize=4)
 def _time_table(dim: int) -> np.ndarray:
-    """time_embedding of 0..TIME_TABLE_SIZE-1, read-only."""
-    table = time_embedding(np.arange(TIME_TABLE_SIZE), dim)
+    """time_embedding of the timesteps 0..T_MAX, read-only: the rows a forward pass reads."""
+    table = time_embedding(np.arange(T_MAX + 1), dim)
     table.setflags(write=False)
     return table
 
@@ -201,8 +206,9 @@ class CondDenoiser:
         """The forward pass: hidden features h1, h2 and the output.
 
         Input rows [x, time embedding, label embedding] fill the row buffers
-        bufs = (inp, a1, a2, s) from `buffers`, or fresh ones; a scalar t or
-        cond is embedded once and broadcast into every row. SiLU is a * sigmoid(a)
+        bufs = (inp, a1, a2, s) from `buffers`, or fresh ones; t, integers in
+        [0, T_MAX], indexes the time table, and a scalar t or cond is embedded
+        once and broadcast into every row. SiLU is a * sigmoid(a)
         with sigmoid = 1 / (1 + exp(-a)), computed through out= and in-place
         ufuncs: h1 and h2 overwrite a1 and a2 and s holds each layer's sigmoid
         in turn. keep adds what the JVP and the backward read: the input rows
@@ -210,12 +216,9 @@ class CondDenoiser:
         """
         x = np.atleast_2d(x)
         inp, a1, a2, s = self.buffers(len(x)) if bufs is None else bufs
-        e, t = self.embed_dim, np.asarray(t)
+        e = self.embed_dim
         inp[:, :2] = x
-        if t.dtype.kind in "iu" and t.size and 0 <= t.min() and t.max() < TIME_TABLE_SIZE:
-            inp[:, 2:2 + e] = _time_table(e)[t]
-        else:
-            inp[:, 2:2 + e] = time_embedding(t, e)
+        inp[:, 2:2 + e] = _time_table(e)[t]
         inp[:, 2 + e:] = self.label_emb.data[cond]
         c = {"inp": inp} if keep else {}
         h = inp

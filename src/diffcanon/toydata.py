@@ -22,6 +22,7 @@ CLASS_SHIFT = 4.0
 CORE_HALF_WIDTH = 0.1
 NOISE_STD = 0.1
 SKEW_GAIN = 3.0
+CSV_HEADER = ["x1", "x2", "label"]
 
 
 @dataclass
@@ -69,18 +70,22 @@ def bayes_rule(xs: np.ndarray) -> np.ndarray:
 def save_csv(dataset: ToyDataset, path: str) -> None:
     with atomic_write(path) as f:
         w = csv.writer(f)
-        w.writerow(["x1", "x2", "label"])
+        w.writerow(CSV_HEADER)
         w.writerows([f"{x1:.6f}", f"{x2:.6f}", y]
                     for (x1, x2), y in zip(dataset.xs.tolist(), dataset.ys.tolist()))
 
 
 def load_csv(path: str) -> ToyDataset:
-    """Read a save_csv file, refusing a row that is not x1,x2,label with finite
-    coordinates and a label 0 or 1, by its line number."""
+    """Read a save_csv file, refusing, by its line number, a first line that is not
+    the header x1,x2,label (an empty file among them) and a row that is not
+    x1,x2,label with finite coordinates and a label 0 or 1."""
     xs, ys = [], []
     with open(path, newline="") as f:
         r = csv.reader(f)
-        next(r, None)
+        header = next(r, None)
+        if header != CSV_HEADER:
+            raise InvalidInputError(f"{path} line 1: needs the header x1,x2,label, got "
+                                    f"{'no line' if header is None else ','.join(header)}")
         for row in r:
             try:
                 x1, x2, y = row

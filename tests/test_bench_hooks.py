@@ -8,17 +8,20 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diffcanon
-from diffcanon import canon, diffusion, distill
+from diffcanon import canon, config, diffusion, distill
 from diffcanon.autodiff import Tensor
 from diffcanon.rng import Rng
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.parent / "workloads.py"
 
 
 def load_targets():
@@ -53,12 +56,12 @@ def test_canonicalize_reaches_the_traced_jacobian_and_svd():
     # the benchmark's canon.jacobian, diffusion.feature_jvp and numerics.svd
     # metrics read 0 if canonicalize_batch stops calling them by these names
     tracer = TRACING_MODULE.Tracer()
-    sched = diffusion.linear_schedule(t_max=100, ddim_steps=10)
+    sched = diffusion.linear_schedule(ddim_steps=10)
     tracer.install()
     try:
         canon.canonicalize_batch(np.zeros((3, 2)), np.array([0, 1, 0]),
-                                 diffusion.CondDenoiser(Rng(0)), sched, t_e=50,
-                                 cfg_scale=1.0, t_r=10)
+                                 diffusion.CondDenoiser(Rng(0)), sched, t_e=500,
+                                 cfg_scale=1.0, t_r=100)
     finally:
         tracer.uninstall()
     spans = tracer.spans
@@ -99,20 +102,20 @@ def test_split_rows_keep_the_tracer_span_stack_whole(monkeypatch):
     tracing = TRACING_MODULE
     tracer = tracing.Tracer()
     model = diffusion.CondDenoiser(Rng(0))
-    sched = diffusion.linear_schedule(t_max=100, ddim_steps=10)
+    sched = diffusion.linear_schedule(ddim_steps=10)
     b = 2 * diffusion.PARALLEL_ROWS
     x = Rng(1).normal((b, 2))
     tracer.install()
     try:
         model.eps(x, 50, np.zeros(b, dtype=np.int64))
         # guided: a null and a conditional call of the head rows per step
-        out = diffusion.decode_batch(x, 50, 1, model, sched, cfg_scale=3.0)
+        out = diffusion.decode_batch(x, 500, 1, model, sched, cfg_scale=3.0)
     finally:
         tracer.uninstall()
     spans = tracer.spans
     assert out.shape == (b, 2)
     assert all(s[tracing.END] is not None for s in spans)
-    steps = len(diffusion.ddim_grid(sched, 50)) - 1
+    steps = len(diffusion.ddim_grid(sched, 500)) - 1
     rows = [s[tracing.ATTRS]["rows"] for s in spans if s[tracing.NAME] == "diffusion.eps"]
     head = round(b / 2 / diffusion._ROW_ALIGN) * diffusion._ROW_ALIGN
     assert rows == [b] + [head] * (2 * steps)
@@ -145,3 +148,23 @@ def test_pool_rows_are_counted_exactly_under_the_tracer():
         assert span[TRACING_MODULE.ATTRS]["unique"] == len(set(rows))
         assert len(set(rows)) < len(rows)
         assert max(rows) > 256
+
+
+def test_benchmark_names_only_config_keys(monkeypatch):
+    # the workloads' --set pairs and the checks' reads of the echoed config name
+    # keys; a deleted or renamed key would otherwise only show when the benchmark runs
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    set_keys = set()
+    for make in workloads.WORKLOADS.values():
+        for w in (make(), make(tiny=True)):
+            for op in (*w.setup, *w.timed):
+                argv = w.argv(op, "out", 0)
+                set_keys |= {pair.split("=", 1)[0]
+                             for flag, pair in zip(argv, argv[1:]) if flag == "--set"}
+    read_keys = set(re.findall(r"""cfg\[["']([\w.]+)["']\]""", WORKLOADS.read_text()))
+    assert read_keys >= {"clarid.n_samples", "data.n", "attack.target", "attack.epsilon",
+                         "eval.n", "attack.steps"}
+    assert sorted((set_keys | read_keys) - set(config.DEFAULTS)) == []

@@ -51,11 +51,10 @@ GOLDEN_SHA256 = {
 }
 
 # Old echoes and perfbench's checks read config keys by name; a key of
-# the schedule/cdm/student/attack sections is named after a parameter of
-# the signature it configures, so renaming that parameter renames the key.
+# the cdm/student/attack sections is named after a parameter of the
+# signature it configures, so renaming that parameter renames the key.
 CONFIG_KEYS = {
     "seed", "out", "data.n",
-    "schedule.t_max", "schedule.beta_start", "schedule.beta_end", "schedule.ddim_steps",
     "cdm.epochs", "cdm.batch_size", "cdm.lr", "cdm.label_drop",
     "te.m", "te.tol", "te.grid_fractions",
     "clarid.t_e", "clarid.cfg_scale", "clarid.t_r", "clarid.n_samples",
@@ -67,8 +66,8 @@ CONFIG_KEYS = {
     "eval.n",
 }
 
-SECTIONS = [("schedule", diffusion.linear_schedule), ("cdm", diffusion.TrainConfig),
-            ("student", distill.DistillConfig), ("attack", distill.AttackConfig)]
+SECTIONS = [("cdm", diffusion.TrainConfig), ("student", distill.DistillConfig),
+            ("attack", distill.AttackConfig)]
 
 def run(cmd: str, out: str, *extra: str, seed: int = 0) -> int:
     return cli.main([cmd, "--out", out, "--seed", str(seed), *REDUCED, *extra])
@@ -93,11 +92,19 @@ def test_gen_data_seed_changes_output(tmp_path):
                            os.path.join(b, "toy_data.csv"), shallow=False)
 
 
-def test_unknown_config_key_fails_with_config_error(tmp_path, capsys):
-    rc = cli.main(["gen-data", "--out", str(tmp_path), "--set", "data.sigma=2"])
-    captured = capsys.readouterr()
+# schedule.t_max: a denoiser trained on a 500-step schedule would be decoded by a
+# default find-te on the 1000-step one; every stage walks the one schedule instead
+@pytest.mark.parametrize("stage, key, artifact",
+                         [("gen-data", "data.sigma=2", "toy_data.csv"),
+                          ("train-cdm", "schedule.t_max=500", "cdm_checkpoint.json")])
+def test_unknown_config_key_fails_with_config_error(tmp_path, capsys, stage, key, artifact):
+    if stage != "gen-data":
+        assert cli.main(["gen-data", "--out", str(tmp_path)]) == 0
+    rc = cli.main([stage, "--out", str(tmp_path), "--set", key])
+    err = capsys.readouterr().err
     assert rc == 1
-    assert "code=CONFIG_ERROR" in captured.err
+    assert "code=CONFIG_ERROR" in err and key.split("=")[0] in err
+    assert not (tmp_path / artifact).exists()
 
 
 def test_malformed_set_pair_fails_with_config_error(tmp_path, capsys):
@@ -366,14 +373,11 @@ REFUSED_SETTINGS = [
     ("build-pool", "pool.fraction", "nan", "pool.jsonl"),
     ("train-cdm", "cdm.lr", "-inf", "cdm_loss.csv"),
     ("clarid", "clarid.t_e", "-5", "bundles.jsonl"),
-    ("clarid", "schedule.ddim_steps", "-1", "bundles.jsonl"),
-    ("clarid", "schedule.ddim_steps", "0", "bundles.jsonl"),
     ("build-pool", "pool.fraction", "-1", "pool.jsonl"),
     ("build-pool", "pool.fraction", "0", "pool.jsonl"),
     ("build-pool", "pool.fraction", "7", "pool.jsonl"),
     ("find-te", "te.tol", "-1", "te_curve.csv"),
     ("gen-data", "data.n", "0", "toy_data.csv"),
-    ("train-cdm", "schedule.t_max", "0", "cdm_loss.csv"),
     ("find-te", "te.m", "0", "te_curve.csv"),
     ("clarid", "clarid.t_e", "5000", "bundles.jsonl"),
     ("clarid", "clarid.t_r", "-3", "bundles.jsonl"),
@@ -386,8 +390,6 @@ REFUSED_SETTINGS = [
     ("train-cdm", "cdm.epochs", "0", "cdm_loss.csv"),
     ("train-student", "student.epochs", "0", "student_checkpoint.json"),
     ("train-student", "student.tau", "0", "student_checkpoint.json"),
-    ("train-cdm", "schedule.beta_end", "2", "cdm_loss.csv"),
-    ("train-cdm", "schedule.beta_start", "-1", "cdm_loss.csv"),
     ("train-cdm", "cdm.lr", "-0.01", "cdm_loss.csv"),
     ("train-student", "student.lr", "-1", "student_checkpoint.json"),
     ("train-cdm", "cdm.label_drop", "5", "cdm_loss.csv"),
@@ -559,10 +561,21 @@ def test_clarid_refuses_a_damaged_te_report(recipe_dir, tmp_path, capsys, report
     ("metrics_student.json", '{"clean_accuracy": 1.5, "robust_accuracy": 0.5}'),
     ("metrics_student.json", '{"clean_accuracy": 0.5, "robust_accuracy": -2}'),
     ("metrics_vanilla.json", '{"clean_accuracy": 0.5, "robust_accuracy": NaN}'),
+    ("features_report.json", '{"nmi_canonical": 7.5}'),
+    ("features_report.json", '{"nmi_original": -0.5}'),
+    ("features_report.json", '{"within_class_var_canonical": {"0": -3.0}}'),
+    ("features_report.json", '{"within_class_var_canonical": {"0": 1.0, "1": NaN}}'),
+    ("features_report.json", '{"within_class_var_original": {"0": Infinity}}'),
+    ("before_after.csv", "sample_id,dist_base,dist_canon\n0,-5,0.5\n"),
+    ("before_after.csv", "sample_id,dist_base,dist_canon\n0,0.5,0.2\n1,0.5,nan\n"),
+    ("before_after.csv", "sample_id,dist_base,dist_canon\n0,inf,0.5\n"),
 ], ids=["te-no-chosen", "te-not-json", "te-accuracies-a-string", "features-a-list",
         "metrics-no-robust", "csv-no-dist_canon", "csv-dist_canon-x", "te-chosen-past-t_max",
         "te-chosen-0", "te-accuracy-above-1", "te-accuracy-negative", "metrics-clean-above-1",
-        "metrics-robust-negative", "metrics-robust-nan"])
+        "metrics-robust-negative", "metrics-robust-nan", "features-nmi-above-1",
+        "features-nmi-negative", "features-var-negative", "features-var-nan",
+        "features-var-inf", "csv-dist_base-negative", "csv-dist_canon-nan",
+        "csv-dist_base-inf"])
 def test_report_refuses_a_damaged_artifact(tmp_path, capsys, name, text):
     (tmp_path / name).write_text(text)
     assert run("report", str(tmp_path)) == 1
@@ -589,7 +602,10 @@ def test_train_student_refuses_a_pool_missing_a_class(recipe_dir, tmp_path, caps
 
 @pytest.mark.parametrize("key,value", [("schedule.ddim_eta", 0.0), ("attack.norm", "linf"),
                                        ("cdm.weight_decay", 0.0), ("student.optimizer", "adam"),
-                                       ("student.momentum", 0.9), ("clarid.layer", 2)])
+                                       ("student.momentum", 0.9), ("clarid.layer", 2),
+                                       ("schedule.t_max", 1000), ("schedule.beta_start", 1e-4),
+                                       ("schedule.beta_end", 0.02),
+                                       ("schedule.ddim_steps", 100)])
 def test_echo_with_a_deleted_key_is_refused(recipe_dir, tmp_path, capsys, key, value):
     # an echo written while the key existed still holds it
     with open(os.path.join(recipe_dir, "resolved_config.clarid.json")) as f:
@@ -602,17 +618,41 @@ def test_echo_with_a_deleted_key_is_refused(recipe_dir, tmp_path, capsys, key, v
 
 
 @pytest.mark.parametrize("stage", ["train-cdm", "train-student"])
-@pytest.mark.parametrize("damage", ["label 2", "short row"])
+@pytest.mark.parametrize("damage", ["label 2", "short row", "no header"])
 def test_training_refuses_a_damaged_data_file(tmp_path, capsys, stage, damage):
     assert run("gen-data", str(tmp_path)) == 0
     path = tmp_path / "toy_data.csv"
     lines = path.read_text().splitlines()
     x1, x2, _ = lines[5].split(",")
-    lines[5] = f"{x1},{x2},2" if damage == "label 2" else f"{x1},{x2}"
+    if damage == "no header":  # its first data row would be skipped as the header
+        del lines[0]
+    else:
+        lines[5] = f"{x1},{x2},2" if damage == "label 2" else f"{x1},{x2}"
     path.write_text("\r\n".join(lines) + "\r\n")
     assert run(stage, str(tmp_path), "--set", "student.vanilla=true") == 1
     err = capsys.readouterr().err
-    assert "code=INVALID_INPUT" in err and "line 6" in err
+    assert "code=INVALID_INPUT" in err and ("line 1" if damage == "no header" else "line 6") in err
+
+
+@pytest.mark.parametrize("stage,artifact,column,width", [
+    ("train-student", "pool.jsonl", "canonical_sample", 3),
+    ("train-student", "pool.jsonl", "latent", 1),
+    ("eval-features", "bundles.jsonl", "canonical_feature", 5),
+    ("eval-features", "bundles.jsonl", "latent", 3),
+])
+def test_bundles_of_the_wrong_width_are_refused(recipe_dir, tmp_path, capsys, stage, artifact,
+                                                column, width):
+    # a point as wide as the data's, a feature as wide as the denoiser's hidden layer
+    copy_artifacts(recipe_dir, tmp_path, "toy_data.csv", "cdm_checkpoint.json", artifact)
+    path = tmp_path / artifact
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        record[column] = [0.5] * width
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert run(stage, str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "code=INVALID_INPUT" in err and artifact in err and column in err
+    assert not {"features_report.json", "student_checkpoint.json"} & set(os.listdir(tmp_path))
 
 
 @pytest.mark.parametrize("damage", ["not json", "missing field", "id past the data"])

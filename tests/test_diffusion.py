@@ -34,6 +34,14 @@ def test_schedule_beta_range(schedule):
     assert schedule.beta[schedule.t_max] == pytest.approx(0.02)
 
 
+@pytest.mark.parametrize("t_max", [0, diffusion.T_MAX + 1])
+def test_schedule_past_the_time_table_is_refused(t_max):
+    # the denoiser's time table has a row for each timestep 0..T_MAX only
+    with pytest.raises(InvalidInputError, match="t_max"):
+        NoiseSchedule(t_max=t_max, beta=np.zeros(t_max + 1), alpha_bar=np.ones(t_max + 1),
+                      ddim_steps=10)
+
+
 # ---------------------------------------------------------------- q_sample
 
 
@@ -52,7 +60,7 @@ def test_q_sample_terminal_noise_dominates(schedule):
 
 def test_q_sample_quarter_alpha():
     sched = NoiseSchedule(t_max=1, beta=np.array([0.0, 0.75]),
-                          alpha_bar=np.array([1.0, 0.25]))
+                          alpha_bar=np.array([1.0, 0.25]), ddim_steps=1)
     out = q_sample(np.array([[1.0, 0.0]]), np.array([1]), np.array([[0.0, 1.0]]), sched)
     assert np.allclose(out, [[0.5, np.sqrt(0.75)]])
 
@@ -98,24 +106,17 @@ def test_feature_jvp_matches_finite_difference(trained_model):
     assert np.linalg.norm(jv - fd) / denom <= 1e-6
 
 
-def test_time_table_rows_equal_time_embedding(schedule):
+def test_time_table_rows_equal_time_embedding():
     table = diffusion._time_table(16)
-    for t in range(schedule.t_max + 1):
-        assert np.array_equal(table[t], time_embedding(t)[0]), t
-    # integer timesteps past the table and non-integer ones fall back to the formula
-    model = CondDenoiser(Rng(0))
-    x = np.array([[0.3, -0.2]])
-    big = diffusion.TIME_TABLE_SIZE + 5
-    assert np.array_equal(model._cache(x, big, 1, keep=True)["inp"][0, 2:18],
-                          time_embedding(big)[0])
-    assert np.array_equal(model._cache(x, 2.5, 1, keep=True)["inp"][0, 2:18],
-                          time_embedding(2.5)[0])
+    assert table.shape == (diffusion.T_MAX + 1, 16)
+    for t in range(diffusion.T_MAX + 1):
+        assert np.array_equal(table[t], time_embedding(np.array([t]))[0]), t
 
 
 @pytest.mark.parametrize("label", ["rows", 0, 1, CondDenoiser.null_id],
                          ids=["cond-per-row", "cond-0", "cond-1", "cond-null"])
-@pytest.mark.parametrize("t", [500, diffusion.TIME_TABLE_SIZE + 5, 2.5],
-                         ids=["table", "past-table", "non-integer"])
+@pytest.mark.parametrize("t", [0, 500, diffusion.T_MAX],
+                         ids=["table-first", "table-middle", "table-last"])
 @pytest.mark.parametrize("b", [1, 5, 503])
 def test_scalar_timestep_equals_one_timestep_per_row(t, b, label):
     # a scalar t or label is embedded once and broadcast; it must give what t

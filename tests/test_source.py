@@ -34,8 +34,6 @@ UNRANGED = {
 
 # The functions that lift their input with np.atleast_1d or np.atleast_2d, and why.
 COERCED = {
-    "time_embedding": "a walk step's one timestep, past the table when schedule.t_max "
-                      ">= TIME_TABLE_SIZE",
     "CondDenoiser._cache": "one (2,) point, a form of the denoiser interface that "
                            "exact_oracle.py shares and the feature and Jacobian tests use",
     "_walk_batch": "one point, and one cond or te_switch for every row, forms of the "

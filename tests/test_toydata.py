@@ -134,6 +134,18 @@ def test_load_csv_refuses_a_bad_row_by_line(tmp_path, row):
         toydata.load_csv(str(path))
 
 
+@pytest.mark.parametrize("text", ["", "\n", "0.1,0.0,0\n0.2,0.0,0\n4.0,0.0,1\n4.1,0.0,1\n0.0,0.1,0\n",
+                                  "x1,x2,y\n0.0,0.0,0\n", "x1,x2\n0.0,0.0,0\n"],
+                         ids=["empty", "blank-line", "five-rows-no-header", "label-named-y",
+                              "short-header"])
+def test_load_csv_refuses_a_file_without_its_header(tmp_path, text):
+    # a first line that is not the header would be skipped as one
+    path = tmp_path / "toy_data.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match="line 1"):
+        toydata.load_csv(str(path))
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=30, deadline=None)
 def test_distance_nonnegative_and_zero_only_near_segment(seed):
